@@ -96,39 +96,30 @@ pub(super) fn newton(
         bufs.stats.newton_iterations += 1;
         bufs.stats.lu_factorizations += 1;
         let lu_timer = tel.then(std::time::Instant::now);
+        let mut target = match &mut bufs.engine {
+            EngineBufs::Dense { a, .. } => MatrixRef::Dense(a),
+            EngineBufs::Sparse { values, .. } => MatrixRef::Sparse {
+                pattern: &plan.sparse,
+                values,
+            },
+        };
+        assemble(
+            plan,
+            ckt,
+            bufs.x,
+            ctx,
+            gmin,
+            companions,
+            &mut target,
+            bufs.z,
+        );
+        let assembled = tel.then(std::time::Instant::now);
         let solved = match &mut bufs.engine {
-            EngineBufs::Dense { a, lu } => {
-                let mut target = MatrixRef::Dense(a);
-                assemble(
-                    plan,
-                    ckt,
-                    bufs.x,
-                    ctx,
-                    gmin,
-                    companions,
-                    &mut target,
-                    bufs.z,
-                );
-                // `assemble` rebuilds the matrix next iteration anyway,
-                // so let the factorization consume it in place instead
-                // of paying an n² working-copy memcpy per solve.
-                a.solve_in_place(bufs.z, lu, bufs.x_new)
-            }
+            // `assemble` rebuilds the matrix next iteration anyway, so
+            // let the factorization consume it in place instead of
+            // paying an n² working-copy memcpy per solve.
+            EngineBufs::Dense { a, lu } => a.solve_in_place(bufs.z, lu, bufs.x_new),
             EngineBufs::Sparse { values, symbolic } => {
-                let mut target = MatrixRef::Sparse {
-                    pattern: &plan.sparse,
-                    values,
-                };
-                assemble(
-                    plan,
-                    ckt,
-                    bufs.x,
-                    ctx,
-                    gmin,
-                    companions,
-                    &mut target,
-                    bufs.z,
-                );
                 match symbolic.factor_and_solve(&plan.sparse, values, bufs.z, bufs.x_new) {
                     None => false,
                     Some(outcome) => {
@@ -179,8 +170,13 @@ pub(super) fn newton(
             }
             return Err(SpiceError::SingularMatrix { analysis, time: t });
         }
-        if let Some(start) = lu_timer {
-            telemetry::histogram("spice.lu_solve_s", start.elapsed().as_secs_f64());
+        if let (Some(start), Some(assembled)) = (lu_timer, assembled) {
+            // `lu_solve_s` spans both phases; the split histograms
+            // share its end point so they add up to it.
+            let end = std::time::Instant::now();
+            telemetry::histogram("spice.lu_solve_s", (end - start).as_secs_f64());
+            telemetry::histogram("spice.assemble_s", (assembled - start).as_secs_f64());
+            telemetry::histogram("spice.factor_solve_s", (end - assembled).as_secs_f64());
         }
         let mut converged = true;
         let mut max_delta = 0.0_f64;

@@ -10,21 +10,21 @@
 //! them leaves every computed result unchanged while cutting most of the
 //! O(n³) work.
 //!
-//! The sparse path ([`SparsePattern`] + [`SymbolicLu`]) goes one step
-//! further: the structural nonzero pattern of the assembled matrix is
-//! fixed by the analysis layer's stamp plan, so the symbolic work —
-//! pivot order, fill-in prediction, CSR layout of `L+U` — is done once
-//! and every subsequent Newton iteration runs a left-looking
-//! refactorization *in the frozen pattern* with no pivot search at all.
-//! A guard compares each refactored pivot against its magnitude at
-//! freeze time and transparently re-pivots from scratch when values have
-//! drifted enough to make the frozen order unsafe.
+//! The sparse path ([`SparsePattern`] + [`SymbolicLu`]) goes further:
+//! the structural nonzero pattern of the assembled matrix is fixed by the
+//! analysis layer's stamp plan, so the symbolic work — a fill-reducing
+//! minimum-degree column order, the pivot order, fill-in prediction, CSR
+//! layout of `L+U` — is done once and every subsequent Newton iteration
+//! runs a left-looking refactorization *in the frozen pattern* with no
+//! pivot search at all. A guard compares each refactored pivot against
+//! its magnitude at freeze time and transparently re-pivots from scratch
+//! when values have drifted enough to make the frozen order unsafe.
 //!
-//! The [`lanes`] submodule replicates the sparse path across `LANES`
-//! value sets sharing one pattern — one symbolic factorization, `LANES`
-//! lockstep numeric factorizations — for batched Monte-Carlo solves.
+//! The dense LU is the sparse path's oracle: both solve the same system
+//! to within rounding, but they eliminate in different orders, so their
+//! results agree to a relative tolerance, not bit for bit.
 
-pub mod lanes;
+use std::sync::OnceLock;
 
 /// A dense, row-major square matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -298,8 +298,10 @@ const PIVOT_DECAY: f64 = 1e-6;
 ///
 /// Built once per stamp plan from a structure-probing assembly pass; the
 /// value array it indexes lives in the solver workspace and is re-filled
-/// every Newton iteration.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// every Newton iteration. The pattern also carries its minimum-degree
+/// column order, computed on first use by a factorization and cached
+/// for every later one.
+#[derive(Debug, Clone, Default)]
 pub struct SparsePattern {
     n: usize,
     row_ptr: Vec<u32>,
@@ -308,7 +310,19 @@ pub struct SparsePattern {
     /// `u32::MAX` marking structural zeros. ~4n² bytes — trivial at MNA
     /// scale and the reason a stamp costs one load and one add.
     slot_of: Vec<u32>,
+    /// Lazily computed [`SparsePattern::column_order`].
+    order: OnceLock<Vec<u32>>,
 }
+
+/// Two patterns are equal when their structure is; whether either has
+/// computed its (structure-determined) column order yet is irrelevant.
+impl PartialEq for SparsePattern {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.row_ptr == other.row_ptr && self.col_idx == other.col_idx
+    }
+}
+
+impl Eq for SparsePattern {}
 
 impl SparsePattern {
     const NO_SLOT: u32 = u32::MAX;
@@ -341,6 +355,7 @@ impl SparsePattern {
             row_ptr,
             col_idx,
             slot_of,
+            order: OnceLock::new(),
         }
     }
 
@@ -381,6 +396,64 @@ impl SparsePattern {
         let hi = self.row_ptr[row + 1] as usize;
         (&self.col_idx[lo..hi], lo)
     }
+
+    /// The order in which [`SymbolicLu`] eliminates the columns: entry
+    /// `k` is the original column eliminated `k`-th.
+    ///
+    /// It is the exact minimum-degree order of the graph of `A + Aᵀ`
+    /// (diagonal ignored), ties broken by the lowest original index. The
+    /// order depends on the structure alone, so it is computed on the
+    /// first call and cached with the pattern.
+    pub(crate) fn column_order(&self) -> &[u32] {
+        self.order.get_or_init(|| self.minimum_degree_order())
+    }
+
+    /// Exact minimum degree on the explicit elimination graph: repeatedly
+    /// eliminate the remaining vertex of fewest remaining neighbours and
+    /// join those neighbours into a clique (the fill the elimination
+    /// creates). A dense adjacency matrix keeps this simple; like
+    /// `slot_of` it is n² at MNA scale, and it runs once per pattern.
+    fn minimum_degree_order(&self) -> Vec<u32> {
+        let n = self.n;
+        let mut adj = vec![false; n * n];
+        for r in 0..n {
+            for &c in self.row(r).0 {
+                let c = c as usize;
+                if c != r {
+                    adj[r * n + c] = true;
+                    adj[c * n + r] = true;
+                }
+            }
+        }
+        let count = |adj: &[bool], v: usize| adj[v * n..(v + 1) * n].iter().filter(|&&e| e).count();
+        let mut degree: Vec<usize> = (0..n).map(|v| count(&adj, v)).collect();
+        let mut eliminated = vec![false; n];
+        let mut order = Vec::with_capacity(n);
+        let mut nbrs = Vec::new();
+        for _ in 0..n {
+            // `min_by_key` keeps the first minimum: the lowest index.
+            let p = (0..n)
+                .filter(|&v| !eliminated[v])
+                .min_by_key(|&v| degree[v])
+                .expect("each of the n passes finds a remaining vertex");
+            eliminated[p] = true;
+            order.push(p as u32);
+            nbrs.clear();
+            nbrs.extend((0..n).filter(|&v| adj[p * n + v]));
+            for &u in &nbrs {
+                adj[u * n + p] = false;
+                for &v in &nbrs {
+                    if v != u {
+                        adj[u * n + v] = true;
+                    }
+                }
+            }
+            for &u in &nbrs {
+                degree[u] = count(&adj, u);
+            }
+        }
+        order
+    }
 }
 
 /// Outcome of a successful [`SymbolicLu::factor_and_solve`] call,
@@ -400,17 +473,19 @@ pub enum SparseSolveOutcome {
     Repivoted,
 }
 
-/// Static symbolic LU: pivot order and `L+U` fill pattern frozen from
-/// the first partial-pivoted factorization, then reused by a
-/// left-looking refactorization for every subsequent solve.
+/// Static symbolic LU: columns eliminated in the pattern's minimum-degree
+/// order (see [`SparsePattern`]), rows chosen by partial pivoting, and
+/// the resulting pivot order and `L+U` fill pattern frozen from the
+/// first factorization, then reused by a left-looking refactorization
+/// for every subsequent solve.
 ///
-/// The numeric contract is deliberate: for an unchanged pivot order the
-/// refactorization performs the *same multiply/subtract/divide sequence*
-/// as the dense partial-pivoted elimination (structurally absent
-/// operands are exact zeros, whose updates are value-level no-ops), so
-/// the sparse path reproduces the dense solver's results to the last bit
-/// whenever both would choose the same pivots — which is exactly the
-/// regime the freeze guard keeps it in.
+/// The numeric contract has two parts. Against the dense oracle, results
+/// agree to rounding: the elimination order differs, so the last bits
+/// may too. Against itself, results are bit-identical: the order is a
+/// pure function of the pattern, and a refactorization in the frozen
+/// order performs the same multiply/subtract/divide sequence as the
+/// freezing elimination, so a solve after a fresh build and one that
+/// reuses the pattern give the same bits for the same values.
 ///
 /// All buffers are retained across calls; after the first build a
 /// refactor-and-solve performs no heap allocation.
@@ -420,9 +495,12 @@ pub struct SymbolicLu {
     built: bool,
     /// Permuted row `i` of the factorization is original row `perm[i]`.
     perm: Vec<u32>,
+    /// Original column `c` is permuted column `col_pos[c]` — the inverse
+    /// of the pattern's column order.
+    col_pos: Vec<u32>,
     /// CSR layout of `L + U` (unit-diagonal L implicit; factors stored
     /// in the L slots, U on and right of the diagonal), rows in pivot
-    /// order, columns ascending.
+    /// order, permuted columns ascending.
     lu_row_ptr: Vec<u32>,
     lu_col: Vec<u32>,
     lu_val: Vec<f64>,
@@ -431,7 +509,8 @@ pub struct SymbolicLu {
     /// |pivot| recorded when the order was frozen — the reference for
     /// the decay guard.
     ref_pivot: Vec<f64>,
-    /// Dense scratch row for the left-looking scatter/gather.
+    /// Dense scratch row for the left-looking scatter/gather, and the
+    /// permuted solution vector of the triangular solves.
     w: Vec<f64>,
     /// Dense n × n scratch for the pivot-freezing factorization.
     dense: Vec<f64>,
@@ -508,28 +587,34 @@ impl SymbolicLu {
     }
 
     /// Freezes the pivot order by running a dense partial-pivoted
-    /// elimination over the current values (mirroring `lu_solve_core`'s
-    /// pivot choices exactly), then builds the symbolic `L+U` pattern
-    /// with fill-in for that order. Returns `false` on singularity.
+    /// elimination over the current values with the columns in the
+    /// pattern's minimum-degree order, then builds the symbolic `L+U`
+    /// pattern with fill-in for that order. Returns `false` on
+    /// singularity.
     fn rebuild(&mut self, pattern: &SparsePattern, values: &[f64]) -> bool {
         let n = pattern.dim();
         self.n = n;
         self.built = false;
+        self.col_pos.clear();
+        self.col_pos.resize(n, 0);
+        for (k, &c) in pattern.column_order().iter().enumerate() {
+            self.col_pos[c as usize] = k as u32;
+        }
         self.perm.clear();
         self.perm.extend(0..n as u32);
         self.ref_pivot.clear();
         self.ref_pivot.resize(n, 0.0);
-        // Scatter the CSR values into the dense scratch.
+        // Scatter the CSR values into the dense scratch, columns permuted.
         self.dense.clear();
         self.dense.resize(n * n, 0.0);
         for r in 0..n {
             let (cols, first) = pattern.row(r);
             for (k, &c) in cols.iter().enumerate() {
-                self.dense[r * n + c as usize] = values[first + k];
+                self.dense[r * n + self.col_pos[c as usize] as usize] = values[first + k];
             }
         }
-        // Partial-pivoted elimination, identical pivot choices to
-        // `lu_solve_core`, recording the row order it settles on.
+        // Partial-pivoted elimination, recording the row order it
+        // settles on.
         let lu = &mut self.dense;
         for k in 0..n {
             let mut pivot_row = k;
@@ -577,10 +662,11 @@ impl SymbolicLu {
     }
 
     /// Left-looking symbolic factorization for the frozen row order:
-    /// permuted row `i`'s pattern is the union of A-row `perm[i]` with
-    /// the U-patterns of every L-column it touches (in ascending column
-    /// order), plus the forced diagonal. Classic Gilbert–Peierls
-    /// reachability, specialised to a static order.
+    /// permuted row `i`'s pattern is the union of A-row `perm[i]` (its
+    /// columns mapped through `col_pos`) with the U-patterns of every
+    /// L-column it touches (in ascending column order), plus the forced
+    /// diagonal. Classic Gilbert–Peierls reachability, specialised to a
+    /// static order.
     fn symbolic(&mut self, pattern: &SparsePattern) {
         let n = self.n;
         self.lu_row_ptr.clear();
@@ -593,7 +679,7 @@ impl SymbolicLu {
             let row_start = self.lu_col.len();
             let (cols, _) = pattern.row(self.perm[i] as usize);
             for &c in cols {
-                self.mark[c as usize] = true;
+                self.mark[self.col_pos[c as usize] as usize] = true;
             }
             self.mark[i] = true;
             // Closure: an entry in L-column k pulls in U-row k's columns
@@ -632,7 +718,7 @@ impl SymbolicLu {
     /// Numeric refactorization in the frozen pattern: for each permuted
     /// row, scatter the A-row into the dense scratch, apply the U-rows
     /// of its L-columns in ascending order (the same update sequence,
-    /// element for element, as the dense right-looking elimination),
+    /// element for element, as the freezing right-looking elimination),
     /// then gather back. No pivot search; the decay guard compares each
     /// pivot against its freeze-time magnitude. Returns `false` on a
     /// decayed or vanishing pivot.
@@ -645,7 +731,7 @@ impl SymbolicLu {
             }
             let (cols, first) = pattern.row(self.perm[i] as usize);
             for (k, &c) in cols.iter().enumerate() {
-                self.w[c as usize] = values[first + k];
+                self.w[self.col_pos[c as usize] as usize] = values[first + k];
             }
             for s in lo..hi {
                 let k = self.lu_col[s] as usize;
@@ -674,30 +760,33 @@ impl SymbolicLu {
     }
 
     /// Forward substitution over unit-diagonal L (with the frozen row
-    /// permutation applied to `b`), then back substitution over U.
-    /// Returns `false` if the solution is non-finite.
-    fn solve_rhs(&self, b: &[f64], x: &mut Vec<f64>) -> bool {
+    /// permutation applied to `b`), then back substitution over U, both
+    /// in the permuted column space held in `w`; `x` receives the
+    /// solution un-permuted to original column order. Returns `false`
+    /// if the solution is non-finite.
+    fn solve_rhs(&mut self, b: &[f64], x: &mut Vec<f64>) -> bool {
         let n = self.n;
-        x.clear();
-        x.resize(n, 0.0);
+        let y = &mut self.w;
         for i in 0..n {
             let mut acc = b[self.perm[i] as usize];
             let lo = self.lu_row_ptr[i] as usize;
             let diag = self.lu_diag[i] as usize;
             for s in lo..diag {
-                acc -= self.lu_val[s] * x[self.lu_col[s] as usize];
+                acc -= self.lu_val[s] * y[self.lu_col[s] as usize];
             }
-            x[i] = acc;
+            y[i] = acc;
         }
         for i in (0..n).rev() {
             let diag = self.lu_diag[i] as usize;
             let hi = self.lu_row_ptr[i + 1] as usize;
-            let mut acc = x[i];
+            let mut acc = y[i];
             for s in (diag + 1)..hi {
-                acc -= self.lu_val[s] * x[self.lu_col[s] as usize];
+                acc -= self.lu_val[s] * y[self.lu_col[s] as usize];
             }
-            x[i] = acc / self.lu_val[diag];
+            y[i] = acc / self.lu_val[diag];
         }
+        x.clear();
+        x.extend(self.col_pos.iter().map(|&k| y[k as usize]));
         x.iter().all(|v| v.is_finite())
     }
 }
@@ -901,19 +990,33 @@ mod tests {
         pattern.add_into(&mut values, 0, 1, 1.0);
     }
 
+    /// The relative bound `sparse_equivalence` holds the sparse engine
+    /// to against the dense oracle.
+    const REL_TOL: f64 = 1e-9;
+
+    fn assert_close(x: &[f64], want: &[f64]) {
+        for (s, d) in x.iter().zip(want.iter()) {
+            assert!(
+                (s - d).abs() <= REL_TOL * d.abs().max(1.0),
+                "sparse {x:?} vs dense {want:?}"
+            );
+        }
+    }
+
+    /// The awkward system the dense tests use: forces pivoting, fill-in,
+    /// and zero-skip branches.
+    const AWKWARD: &[&[f64]] = &[
+        &[0.0, 2.0, 1.0, 0.0],
+        &[1e-6, -1.0, 0.5, 0.0],
+        &[3.0, 0.25, -2.0, 1e-9],
+        &[0.0, 0.0, 1e3, 4.0],
+    ];
+
     #[test]
-    fn sparse_first_solve_matches_dense_bit_for_bit() {
-        // The same awkward system the dense tests use: forces pivoting,
-        // fill-in, and zero-skip branches.
-        let rows: &[&[f64]] = &[
-            &[0.0, 2.0, 1.0, 0.0],
-            &[1e-6, -1.0, 0.5, 0.0],
-            &[3.0, 0.25, -2.0, 1e-9],
-            &[0.0, 0.0, 1e3, 4.0],
-        ];
+    fn sparse_first_solve_matches_dense_within_tolerance() {
         let b = [1.0, -2.5, 3e-3, 0.7];
-        let dense = from_rows(rows).solve(&b).expect("nonsingular");
-        let (pattern, values) = sparse_from_rows(rows);
+        let dense = from_rows(AWKWARD).solve(&b).expect("nonsingular");
+        let (pattern, values) = sparse_from_rows(AWKWARD);
         let mut sym = SymbolicLu::new();
         let mut x = Vec::new();
         let outcome = sym
@@ -921,9 +1024,86 @@ mod tests {
             .expect("nonsingular");
         assert_eq!(outcome, SparseSolveOutcome::Built);
         assert!(sym.lu_nnz() >= pattern.nnz());
-        for (s, d) in x.iter().zip(dense.iter()) {
-            assert_eq!(s.to_bits(), d.to_bits(), "sparse {x:?} vs dense {dense:?}");
+        assert_close(&x, &dense);
+    }
+
+    #[test]
+    fn sparse_built_and_reused_solves_are_bit_identical() {
+        let b = [1.0, -2.5, 3e-3, 0.7];
+        let (pattern, values) = sparse_from_rows(AWKWARD);
+        let mut sym = SymbolicLu::new();
+        let (mut built, mut reused) = (Vec::new(), Vec::new());
+        assert_eq!(
+            sym.factor_and_solve(&pattern, &values, &b, &mut built),
+            Some(SparseSolveOutcome::Built)
+        );
+        assert_eq!(
+            sym.factor_and_solve(&pattern, &values, &b, &mut reused),
+            Some(SparseSolveOutcome::ReusedPattern)
+        );
+        for (r, f) in reused.iter().zip(built.iter()) {
+            assert_eq!(r.to_bits(), f.to_bits(), "{reused:?} vs {built:?}");
         }
+    }
+
+    #[test]
+    fn same_pattern_gives_the_same_column_order() {
+        // Hub 0 with leaf 1; 2 and 3 joined to the hub and (one way
+        // only, so through Aᵀ) to each other.
+        let entries = vec![
+            (0, 0),
+            (0, 1),
+            (0, 2),
+            (0, 3),
+            (1, 0),
+            (1, 1),
+            (2, 0),
+            (2, 2),
+            (3, 2),
+            (3, 3),
+        ];
+        let mut shuffled = entries.clone();
+        shuffled.reverse();
+        shuffled.push((3, 2));
+        let a = SparsePattern::from_entries(4, entries.clone());
+        let b = SparsePattern::from_entries(4, shuffled);
+        let fresh = SparsePattern::from_entries(4, entries);
+        assert_eq!(a, b);
+        // Leaf 1 goes first; then 0, 2 and 3 all have degree 2 and the
+        // tie breaks to the lowest index.
+        assert_eq!(a.column_order(), [1, 0, 2, 3]);
+        assert_eq!(b.column_order(), a.column_order());
+        assert_eq!(a.column_order(), [1, 0, 2, 3], "the cached order is stable");
+        // Computing the order does not change equality.
+        assert_eq!(a, fresh);
+    }
+
+    #[test]
+    fn arrowhead_factors_without_fill() {
+        // Row and column 0 are full and dominate the diagonal: natural
+        // order eliminates the hub first and fills L+U to n², while the
+        // minimum-degree order leaves the hub for last and adds nothing.
+        let n = 8;
+        let mut rows = vec![vec![0.0; n]; n];
+        for (i, row) in rows.iter_mut().enumerate() {
+            row[0] = 1.0;
+            row[i] = 4.0;
+        }
+        rows[0].fill(1.0);
+        rows[0][0] = 2.0 * n as f64;
+        let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let (pattern, values) = sparse_from_rows(&rows);
+        let b: Vec<f64> = (0..n).map(|i| i as f64 - 2.5).collect();
+        let mut sym = SymbolicLu::new();
+        let mut x = Vec::new();
+        assert!(sym
+            .factor_and_solve(&pattern, &values, &b, &mut x)
+            .is_some());
+        assert_eq!(sym.lu_nnz(), pattern.nnz());
+        // The hub ties with the last leaf at degree 1 and, being the
+        // lower index, goes second to last.
+        assert_eq!(pattern.column_order()[n - 2], 0);
+        assert_close(&x, &from_rows(&rows).solve(&b).expect("nonsingular"));
     }
 
     #[test]
@@ -943,8 +1123,10 @@ mod tests {
             Some(SparseSolveOutcome::Built)
         );
         // Perturb values (same structure, same diagonal dominance) and
-        // solve again: the pattern is reused and the result matches a
-        // from-scratch dense solve bit for bit.
+        // solve again: the pattern is reused. The minimum-degree order
+        // of this 4-cycle is the natural one and the pivots stay on the
+        // diagonal, so the result even matches a from-scratch dense
+        // solve bit for bit.
         for (k, v) in values.iter_mut().enumerate() {
             *v *= 1.0 + 0.01 * (k as f64 + 1.0);
         }
@@ -990,13 +1172,7 @@ mod tests {
         dense.set(0, 1, 1.0);
         dense.set(1, 0, 2e-2);
         dense.set(1, 1, 1.0);
-        let want = dense.solve(&b).expect("nonsingular");
-        for (s, d) in x.iter().zip(want.iter()) {
-            assert!(
-                (s - d).abs() <= 1e-9 * d.abs().max(1.0),
-                "{x:?} vs {want:?}"
-            );
-        }
+        assert_close(&x, &dense.solve(&b).expect("nonsingular"));
     }
 
     #[test]

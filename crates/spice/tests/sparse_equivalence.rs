@@ -3,13 +3,15 @@
 //! correctness oracle that `session_equivalence.rs` has already pinned
 //! bit-for-bit to the straight-line reference engine.
 //!
-//! The sparse refactorization freezes the pivot order chosen by a dense
-//! partial-pivoted elimination of the first system, then replays the
-//! same multiply/subtract/divide sequence in pattern order. On these
-//! fixtures the frozen order keeps matching the dense per-solve choice,
-//! so values agree to well within the 1e-9 relative budget asserted
-//! here; the step-control decisions (halvings, breakpoints) must then
-//! coincide too, which is why the time axes are compared exactly.
+//! The sparse engine eliminates columns in the pattern's minimum-degree
+//! order and freezes the row pivots its first factorization chose, so
+//! it does not repeat the dense elimination: the two agree to rounding,
+//! not bit for bit. Values must agree within the 1e-9 relative budget
+//! asserted here, and the step-control decisions (halvings, breakpoints)
+//! must then coincide too, which is why the time axes are compared
+//! exactly. These fixtures have at most a few unknowns; the root
+//! package's `word_oracle` test holds a 72-unknown NV word to the same
+//! bound.
 //!
 //! Also hosts the session lifecycle tests that want both solver kinds:
 //! plan rebuild after a structural circuit edit, and singular-matrix

@@ -144,7 +144,7 @@ grep -q '"spice.subckt.plan_reuses"' "$family_json" || {
     exit 1
 }
 
-echo "==> solver smoke: table2 --quick, sparse vs dense agreement"
+echo "==> solver smoke: table2 --quick and family, sparse vs dense agreement"
 # The same characterization under both LU engines must print the same
 # physics. Newton-iteration counts may legitimately differ by an ulp of
 # convergence, so solver-work lines are filtered before the diff.
@@ -157,6 +157,18 @@ NVFF_SOLVER=dense \
     | grep -iv "newton\|iterations" > "$dense_out"
 if ! diff -u "$dense_out" "$sparse_out"; then
     echo "sparse and dense solver engines disagree on table2 --quick" >&2
+    exit 1
+fi
+# The table2 cells have at most a few dozen unknowns; the NV-word family
+# (n up to 8, 132 unknowns) is where the sparse engine's fill-reducing
+# column order departs furthest from the dense elimination.
+cargo run --offline -q --release -p nvff-bench --bin family \
+    | grep -iv "newton\|iterations" > "$sparse_out"
+NVFF_SOLVER=dense \
+    cargo run --offline -q --release -p nvff-bench --bin family \
+    | grep -iv "newton\|iterations" > "$dense_out"
+if ! diff -u "$dense_out" "$sparse_out"; then
+    echo "sparse and dense solver engines disagree on family" >&2
     exit 1
 fi
 
