@@ -74,14 +74,14 @@ pub fn jobs_from_args() -> usize {
 
 /// Extracts the `--lanes <L>` argument from the process command line —
 /// the SIMD lane count of the lane-batched Monte-Carlo kernels.
-/// Returns `0` (auto: `NVFF_LANES` or the built-in default) when
-/// absent; `--lanes 1` selects the scalar reference kernel. The lane
-/// count never changes results, only throughput.
+/// Returns `0` (the built-in default) when absent; `--lanes 1` selects
+/// the scalar reference kernel. The lane count never changes results,
+/// only throughput.
 ///
 /// # Examples
 ///
 /// ```
-/// // No --lanes flag in the test harness's own argv → auto.
+/// // No --lanes flag in the test harness's own argv → the default.
 /// assert_eq!(nvff_bench::lanes_from_args(), 0);
 /// ```
 #[must_use]

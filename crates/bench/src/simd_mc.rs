@@ -40,7 +40,7 @@ pub struct SimdMcOptions {
     pub seed: u64,
     /// Worker count for the threaded configurations (`0` = auto).
     pub jobs: usize,
-    /// Lane width for the batched configurations (`0` = auto; rounded
+    /// Lane width for the batched configurations (`0` = default; rounded
     /// to a supported width by [`mtj::lanes::resolve_lanes`]).
     pub lanes: usize,
     /// WER grid points (pulse widths at the nominal write current).

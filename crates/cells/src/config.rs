@@ -3,7 +3,8 @@
 use core::fmt;
 
 use mtj::{MtjCorner, MtjParams, VariationModel};
-use spice::{CmosCorner, Technology};
+use spice::analysis::StartCondition;
+use spice::{CmosCorner, SolverKind, StepControl, Technology, TransientOptions};
 use units::{Capacitance, Length, Time};
 
 /// A combined CMOS ⊗ MTJ process corner.
@@ -198,10 +199,16 @@ pub struct LatchConfig {
     pub timing: Timing,
     /// Nominal simulation time step: the adaptive controller's seed and
     /// resolution floor (and the uniform step under
-    /// `NVFF_TRANSIENT=fixed`).
+    /// [`StepControl::Fixed`]).
     pub time_step: Time,
     /// Transient accuracy targets.
     pub tolerances: Tolerances,
+    /// LU engine of the cell's simulation session (sparse by default;
+    /// [`SolverKind::Dense`] is the correctness oracle).
+    pub solver: SolverKind,
+    /// Transient step policy (adaptive by default; [`StepControl::Fixed`]
+    /// is the uniform-grid oracle).
+    pub step_control: StepControl,
 }
 
 impl Default for LatchConfig {
@@ -214,6 +221,8 @@ impl Default for LatchConfig {
             timing: Timing::default(),
             time_step: Time::from_pico_seconds(2.0),
             tolerances: Tolerances::default(),
+            solver: SolverKind::default(),
+            step_control: StepControl::default(),
         }
     }
 }
@@ -235,19 +244,20 @@ impl LatchConfig {
     }
 
     /// Transient options for a latch simulation starting from `start`,
-    /// carrying this config's accuracy tolerances. Step policy and
-    /// integrator stay at the engine defaults (adaptive LTE control
-    /// unless `NVFF_TRANSIENT=fixed`).
+    /// carrying this config's accuracy tolerances. The integrator follows
+    /// [`LatchConfig::step_control`]: trapezoidal under LTE control,
+    /// backward Euler on the uniform grid.
     #[must_use]
-    pub fn transient_options(
-        &self,
-        start: spice::analysis::StartCondition,
-    ) -> spice::analysis::TransientOptions {
-        spice::analysis::TransientOptions {
+    pub fn transient_options(&self, start: StartCondition) -> TransientOptions {
+        let base = match self.step_control {
+            StepControl::Adaptive => TransientOptions::adaptive(),
+            StepControl::Fixed => TransientOptions::fixed(),
+        };
+        TransientOptions {
             start,
             reltol: self.tolerances.reltol,
             abstol: self.tolerances.abstol,
-            ..spice::analysis::TransientOptions::default()
+            ..base
         }
     }
 }

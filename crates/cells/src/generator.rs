@@ -1288,7 +1288,9 @@ impl BankedWord {
                 telemetry::counter("cells.session_miss", 1);
                 let ckt = word_circuit(&self.params, &self.config, stim, stored)?;
                 let label = format!("nv_word_{}b", self.params.bits);
-                slot.insert(SimulationSession::new(ckt).with_label(&label))
+                slot.insert(
+                    SimulationSession::with_solver(ckt, self.config.solver).with_label(&label),
+                )
             }
         };
         let ckt = session.circuit_mut();

@@ -147,7 +147,10 @@ impl ProposedLatch {
             None => {
                 telemetry::counter("cells.session_miss", 1);
                 let ckt = self.build(stim, stored)?;
-                slot.insert(SimulationSession::new(ckt).with_label("proposed_2bit"))
+                slot.insert(
+                    SimulationSession::with_solver(ckt, self.config.solver)
+                        .with_label("proposed_2bit"),
+                )
             }
         };
         let ckt = session.circuit_mut();

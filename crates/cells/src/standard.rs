@@ -301,7 +301,10 @@ impl StandardLatch {
             None => {
                 telemetry::counter("cells.session_miss", 1);
                 let ckt = self.build(controls, stored)?;
-                slot.insert(SimulationSession::new(ckt).with_label("standard_latch"))
+                slot.insert(
+                    SimulationSession::with_solver(ckt, self.config.solver)
+                        .with_label("standard_latch"),
+                )
             }
         };
         let ckt = session.circuit_mut();

@@ -704,7 +704,7 @@ pub struct TailOptions {
     pub seed: u64,
     /// Worker count (`0` = auto, `1` = serial on the caller).
     pub jobs: usize,
-    /// SIMD lane width (`0` = auto via `NVFF_LANES`, `1` = scalar).
+    /// SIMD lane width (`0` = the built-in default, `1` = scalar).
     pub lanes: usize,
     /// Per-sample statistic.
     pub estimator: Estimator,

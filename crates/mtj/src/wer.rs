@@ -381,8 +381,8 @@ pub struct WerGridOptions {
     pub seed: u64,
     /// Worker count (`0` = auto, `1` = serial on the calling thread).
     pub jobs: usize,
-    /// SIMD lane count of the batched kernel (`0` = auto: `NVFF_LANES`
-    /// or the built-in default, `1` = the scalar reference kernel).
+    /// SIMD lane count of the batched kernel (`0` = the built-in
+    /// default, `1` = the scalar reference kernel).
     /// Results are bit-identical for every value.
     pub lanes: usize,
 }

@@ -1,4 +1,4 @@
-//! The original per-call analysis engine, kept as a frozen baseline.
+//! The original per-call analysis engine, kept as a frozen oracle.
 //!
 //! This module is the SPICE engine as it existed before the
 //! [`SimulationSession`](super::SimulationSession) rearchitecture:
@@ -6,12 +6,10 @@
 //! the MNA matrix, RHS and iterate vectors per Newton solve, and clones
 //! the flattened capacitor list per time step. It is deliberately
 //! self-contained (its own assembler, Newton loop and transient loop)
-//! so it can serve two jobs:
-//!
-//! * **correctness oracle** — the equivalence tests check the session
-//!   engine produces bit-for-bit identical waveforms;
-//! * **benchmark baseline** — the criterion benches measure the
-//!   session's workspace reuse against this engine.
+//! so it can serve as a **correctness oracle**: the `session_equivalence`
+//! tests check the session engine produces bit-for-bit identical
+//! waveforms. Its straight-line assembly is the only check of the
+//! session's `StampPlan` stamping that does not share that code.
 //!
 //! Results carry zeroed [`SolverStats`](super::SolverStats); only the
 //! session engine counts work. New code should use the session engine
@@ -431,9 +429,8 @@ pub fn dc_sweep(
 /// backward Euler) using the per-call engine.
 ///
 /// This module is the frozen oracle: it pins
-/// [`TransientOptions::fixed`] rather than the process default, so its
-/// behaviour never shifts with `NVFF_TRANSIENT` or with the adaptive
-/// controller's defaults.
+/// [`TransientOptions::fixed`] rather than the adaptive default, so its
+/// behaviour never shifts with the adaptive controller's defaults.
 ///
 /// # Errors
 ///

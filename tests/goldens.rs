@@ -5,18 +5,28 @@
 //! `mtj_read_b`) sampled at uniform times, plus the tolerance band the
 //! comparison runs at. The band is derived from the step controller's
 //! accept threshold (`trtol · reltol` of VDD), so the goldens hold
-//! under both the adaptive default and `NVFF_TRANSIENT=fixed`, and
-//! under either solver engine — they pin the physics, not one engine's
-//! discretization.
+//! under both step policies and both LU engines — they pin the physics,
+//! not one engine's discretization. Each workload is checked under all
+//! four `(solver, step_control)` pairs of [`ENGINES`].
 //!
-//! Regenerate after an intentional waveform change with:
+//! Regenerate (from the default engine) after an intentional waveform
+//! change with:
 //!
 //! ```text
 //! NVFF_UPDATE_GOLDENS=1 cargo test --test goldens
 //! ```
 
 use cells::{LatchConfig, ProposedLatch};
+use spice::{SolverKind, StepControl};
 use telemetry::JsonValue;
+
+/// Every engine pair the goldens must hold under.
+const ENGINES: [(SolverKind, StepControl); 4] = [
+    (SolverKind::Sparse, StepControl::Adaptive),
+    (SolverKind::Sparse, StepControl::Fixed),
+    (SolverKind::Dense, StepControl::Adaptive),
+    (SolverKind::Dense, StepControl::Fixed),
+];
 
 /// Sample count per trace. Uniform in time over the control window.
 const SAMPLES: usize = 81;
@@ -45,9 +55,10 @@ fn sample(result: &spice::TransientResult, stop: f64) -> Waveforms {
     Waveforms { stop, traces }
 }
 
-/// Runs one Fig. 6 workload and returns its sampled waveforms.
-fn run_workload(name: &str) -> Waveforms {
-    let latch = ProposedLatch::new(LatchConfig::default());
+/// Runs one Fig. 6 workload under `config` and returns its sampled
+/// waveforms.
+fn run_workload(name: &str, config: LatchConfig) -> Waveforms {
+    let latch = ProposedLatch::new(config);
     match name {
         "proposed_restore_10" => {
             let (result, controls) = latch.restore_traces([true, false]).expect("restore");
@@ -100,10 +111,10 @@ fn to_golden(name: &str, w: &Waveforms) -> JsonValue {
 }
 
 fn check_workload(name: &str) {
-    let got = run_workload(name);
     let path = golden_path(name);
 
     if std::env::var("NVFF_UPDATE_GOLDENS").is_ok() {
+        let got = run_workload(name, LatchConfig::default());
         let json = to_golden(name, &got).to_json();
         std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir goldens");
         std::fs::write(&path, json + "\n").expect("write golden");
@@ -127,29 +138,38 @@ fn check_workload(name: &str) {
         .get("stop_s")
         .and_then(JsonValue::as_f64)
         .expect("stop_s");
-    assert!(
-        (stop - got.stop).abs() < 1e-15,
-        "control window changed: golden stop {stop}, got {}; regenerate if intentional",
-        got.stop
-    );
     let tol = golden
         .get("band_v")
         .and_then(JsonValue::as_f64)
         .expect("band_v");
     let nodes = golden.get("nodes").expect("nodes object");
-    for (node, samples) in &got.traces {
-        let want = nodes
-            .get(node)
-            .and_then(JsonValue::as_array)
-            .unwrap_or_else(|| panic!("golden lacks node {node}"));
-        assert_eq!(want.len(), samples.len(), "sample count for {node}");
-        for (k, (w, &g)) in want.iter().zip(samples).enumerate() {
-            let w = w.as_f64().expect("sample is a number");
-            let t = stop * k as f64 / (SAMPLES - 1) as f64;
-            assert!(
-                (w - g).abs() <= tol,
-                "{name}: node {node} off golden at t = {t:.3e}: golden {w}, got {g} (band {tol:.3e})"
-            );
+    for (solver, step_control) in ENGINES {
+        let config = LatchConfig {
+            solver,
+            step_control,
+            ..LatchConfig::default()
+        };
+        let got = run_workload(name, config);
+        let engine = format!("{solver:?}/{step_control:?}");
+        assert!(
+            (stop - got.stop).abs() < 1e-15,
+            "{engine}: control window changed: golden stop {stop}, got {}; regenerate if intentional",
+            got.stop
+        );
+        for (node, samples) in &got.traces {
+            let want = nodes
+                .get(node)
+                .and_then(JsonValue::as_array)
+                .unwrap_or_else(|| panic!("golden lacks node {node}"));
+            assert_eq!(want.len(), samples.len(), "sample count for {node}");
+            for (k, (w, &g)) in want.iter().zip(samples).enumerate() {
+                let w = w.as_f64().expect("sample is a number");
+                let t = stop * k as f64 / (SAMPLES - 1) as f64;
+                assert!(
+                    (w - g).abs() <= tol,
+                    "{name} ({engine}): node {node} off golden at t = {t:.3e}: golden {w}, got {g} (band {tol:.3e})"
+                );
+            }
         }
     }
 }
