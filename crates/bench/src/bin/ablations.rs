@@ -18,8 +18,7 @@
 //! sweep pool; stdout is rendered after ordered collection and is
 //! byte-identical for every `--jobs` value.
 
-use cells::proposed::ControlScheme;
-use cells::{LatchConfig, ProposedLatch};
+use cells::{ControlScheme, LatchConfig, NvWord, WordParams};
 use merge::{MergeOptions, Strategy};
 use mtj::{Mtj, MtjParams, MtjState, WritePolarity};
 use netlist::{benchmarks, CellLibrary};
@@ -108,8 +107,8 @@ fn control_schemes(jobs: usize) -> Result<(), cells::CellError> {
         ..sweep::SweepOptions::default()
     };
     let outcome = sweep::run(&grid, &opts, |_ctx, &scheme| {
-        let latch = ProposedLatch::with_scheme(LatchConfig::default(), scheme);
-        let out = latch.simulate_restore([true, false])?;
+        let latch = NvWord::new(WordParams::new(2), LatchConfig::default()).with_scheme(scheme);
+        let out = latch.simulate_restore(&[true, false])?;
         Ok::<_, cells::CellError>(format!(
             "  {scheme:?}: bits {:?}, supply energy {}, total (with controls) {}, delay {}",
             out.bits, out.supply_energy, out.energy, out.read_delay,
@@ -169,8 +168,8 @@ fn sizing_sweep(jobs: usize) -> Result<(), cells::CellError> {
     let outcome = sweep::run(&grid, &opts, |_ctx, &nmos_nm| {
         let mut config = LatchConfig::default();
         config.sizing.cross_nmos = Length::from_nano_meters(nmos_nm);
-        let latch = ProposedLatch::new(config);
-        let out = latch.simulate_restore([true, false])?;
+        let latch = NvWord::new(WordParams::new(2), config);
+        let out = latch.simulate_restore(&[true, false])?;
         Ok::<_, cells::CellError>(format!(
             "  W(N1/N2) = {:>4.0} nm: read delay {:>9}  supply energy {:>9}  \
              energy·delay {:>7.1} fJ·ns",

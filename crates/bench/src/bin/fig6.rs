@@ -12,8 +12,7 @@
 
 use std::fmt::Write as _;
 
-use cells::proposed::ControlScheme;
-use cells::{LatchConfig, ProposedLatch};
+use cells::{ControlScheme, LatchConfig, NvWord, WordParams};
 use nvff_bench::{ascii_waveform, traces_to_csv};
 
 /// The two independent transients of the figure, as sweep grid points.
@@ -24,7 +23,7 @@ enum Phase {
 }
 
 /// Renders the restore phase: stdout text plus the CSV body.
-fn render_restore(latch: &ProposedLatch) -> Result<(String, String), String> {
+fn render_restore(latch: &NvWord) -> Result<(String, String), String> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -32,7 +31,7 @@ fn render_restore(latch: &ProposedLatch) -> Result<(String, String), String> {
         latch.scheme()
     );
     let (result, controls) = latch
-        .restore_traces([true, false])
+        .restore_traces(&[true, false])
         .map_err(|e| e.to_string())?;
     let times = result.times();
     let mut csv_traces = Vec::new();
@@ -46,23 +45,26 @@ fn render_restore(latch: &ProposedLatch) -> Result<(String, String), String> {
         csv_traces.push((*node, values.as_slice()));
     }
     let csv = traces_to_csv(times, &csv_traces);
+    let [lower, upper] = controls.evals() else {
+        return Err("the 2-bit restore has two evaluations".into());
+    };
     let _ = writeln!(
         out,
         "evaluation windows: lower pair {} → {}, upper pair {} → {}",
-        controls.eval0_start, controls.eval0_end, controls.eval1_start, controls.eval1_end
+        lower.start, lower.end, upper.start, upper.end
     );
     Ok((out, csv))
 }
 
 /// Renders the store phase: stdout text plus the CSV body.
-fn render_store(latch: &ProposedLatch) -> Result<(String, String), String> {
+fn render_store(latch: &NvWord) -> Result<(String, String), String> {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "FIG 6(a): STORE SEQUENCE — writing [1, 0] over [0, 1]\n"
     );
     let (store_result, store_controls) = latch
-        .store_traces([true, false], [false, true])
+        .store_traces(&[true, false], &[false, true])
         .map_err(|e| e.to_string())?;
     let times = store_result.times();
     let mut keep = Vec::new();
@@ -113,7 +115,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outcome = sweep::run_with_state(
         &grid,
         &opts,
-        |_| ProposedLatch::with_scheme(LatchConfig::default(), scheme),
+        |_| NvWord::new(WordParams::new(2), LatchConfig::default()).with_scheme(scheme),
         |latch, _ctx, phase| match phase {
             Phase::Restore => render_restore(latch),
             Phase::Store => render_store(latch),

@@ -15,7 +15,7 @@
 //! so an interrupted campaign resumes — bit-identically — where it
 //! stopped. Printed figures are identical for every mode.
 
-use cells::{margin, LatchConfig, ProposedLatch};
+use cells::{margin, LatchConfig, NvWord, WordParams};
 use mtj::{wer, MtjParams, SwitchingModel, ThermalModel};
 use units::{Current, Temperature, Time};
 
@@ -59,10 +59,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Read disturb ------------------------------------------------
     println!("READ DISTURB (restores must never flip an MTJ)");
-    let latch = ProposedLatch::new(base.clone());
+    let latch = NvWord::new(WordParams::new(2), base.clone());
     let mut disturbs = 0;
     for pattern in [[false, false], [false, true], [true, false], [true, true]] {
-        let (result, _) = latch.restore_traces(pattern)?;
+        let (result, _) = latch.restore_traces(&pattern)?;
         disturbs += result.mtj_events().len();
     }
     println!(
@@ -169,8 +169,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let params = thermal.at_temperature(&nominal, t);
         let mut config = base.clone();
         config.mtj = params.clone();
-        let ok = ProposedLatch::new(config)
-            .simulate_restore([true, false])
+        let ok = NvWord::new(WordParams::new(2), config)
+            .simulate_restore(&[true, false])
             .map(|r| r.bits == [true, false])
             .unwrap_or(false);
         println!(

@@ -27,11 +27,11 @@ use telemetry::Section;
 /// median of a few warm runs through a snapshot-rewound session, so the
 /// figure isolates assemble + factor + solve (no session construction).
 fn time_restore(
-    latch: &cells::ProposedLatch,
+    latch: &cells::NvWord,
     solver: spice::SolverKind,
     step_control: spice::StepControl,
 ) -> Result<(f64, spice::SolverStats), Box<dyn std::error::Error>> {
-    let (ckt, controls) = latch.restore_circuit([true, false])?;
+    let (ckt, controls) = latch.restore_circuit(&[true, false])?;
     let snap = ckt.snapshot();
     let mut session = spice::SimulationSession::with_solver(ckt, solver);
     let options = spice::analysis::TransientOptions {
@@ -46,7 +46,7 @@ fn time_restore(
         session.reset_stats();
         let t0 = Instant::now();
         let result =
-            session.transient_with_options(controls.total, latch.config().time_step, options)?;
+            session.transient_with_options(controls.total(), latch.config().time_step, options)?;
         let dt = t0.elapsed().as_secs_f64();
         if i > 0 {
             // First run warms caches (and, for sparse, pays nothing
@@ -223,9 +223,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("robustness spot checks...");
     let rob_span = telemetry::span("robustness");
     let rob_start = Instant::now();
-    let latch = cells::ProposedLatch::new(LatchConfig::default());
+    let latch = cells::NvWord::new(cells::WordParams::new(2), LatchConfig::default());
     let margins = cells::margin::read_margins(&latch, [true, false])?;
-    let (restore_result, _) = latch.restore_traces([true, false])?;
+    let (restore_result, _) = latch.restore_traces(&[true, false])?;
     let _ = writeln!(md, "## Robustness\n");
     let _ = writeln!(
         md,
@@ -238,7 +238,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "* read disturb events during restore: {}",
         restore_result.mtj_events().len()
     );
-    let store = latch.simulate_store([true, false], [false, true])?;
+    let store = latch.simulate_store(&[true, false], &[false, true])?;
     let _ = writeln!(
         md,
         "* store: {} reversals, latency {}, energy to completion {} (paper: 2 ns, 104 fJ)",

@@ -199,7 +199,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Write path (identical between designs by construction).
     let std_cfg = LatchConfig::default();
-    let w = cells::StandardLatch::new(std_cfg).simulate_store([true], [false])?;
+    let w =
+        cells::NvWord::new(cells::WordParams::new(1), std_cfg).simulate_store(&[true], &[false])?;
     println!("\nWrite (store) — shared methodology, worst case published:");
     println!(
         "{}",

@@ -7,14 +7,14 @@
 //! cargo run --release -p cells --example energy_breakdown
 //! ```
 
-use cells::{LatchConfig, ProposedLatch, StandardLatch};
+use cells::{LatchConfig, NvWord, WordParams};
 use units::Time;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = LatchConfig::default();
 
-    let std_latch = StandardLatch::new(cfg.clone());
-    let r = std_latch.simulate_restore([true])?;
+    let std_latch = NvWord::new(WordParams::new(1), cfg.clone());
+    let r = std_latch.simulate_restore(&[true])?;
     println!(
         "standard: energy {} delay {} (x2 = {})",
         r.energy,
@@ -22,26 +22,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         r.energy * 2.0
     );
 
-    let (sres, sctl) = std_latch.restore_traces([true])?;
-    let svdd = sres.supply_energy("VDD", Time::ZERO, sctl.total)?;
+    let (sres, sctl) = std_latch.restore_traces(&[true])?;
+    let svdd = sres.supply_energy("VDD", Time::ZERO, sctl.total())?;
     println!("standard VDD-only: {} (x2 = {})", svdd, svdd * 2.0);
 
-    let latch = ProposedLatch::new(cfg.clone());
-    let out = latch.simulate_restore([true, false])?;
+    let latch = NvWord::new(WordParams::new(2), cfg.clone());
+    let out = latch.simulate_restore(&[true, false])?;
     println!(
         "proposed: energy {} delay {} (d0 {}, d1 {})",
         out.energy, out.read_delay, out.sense_delays[0], out.sense_delays[1]
     );
 
-    let (result, controls) = latch.restore_traces([true, false])?;
-    let pvdd = result.supply_energy("VDD", Time::ZERO, controls.total)?;
+    let (result, controls) = latch.restore_traces(&[true, false])?;
+    let total = controls.total();
+    let pvdd = result.supply_energy("VDD", Time::ZERO, total)?;
     println!("proposed VDD-only: {pvdd}");
+    let [eval0, eval1] = *controls.evals() else {
+        unreachable!("the 2-bit restore has two evaluations")
+    };
     let windows = [
-        ("lead-in ", Time::ZERO, controls.eval0_start),
-        ("eval0   ", controls.eval0_start, controls.eval0_end),
-        ("pc-gnd  ", controls.eval0_end, controls.eval1_start),
-        ("eval1   ", controls.eval1_start, controls.eval1_end),
-        ("tail    ", controls.eval1_end, controls.total),
+        ("lead-in ", Time::ZERO, eval0.start),
+        ("eval0   ", eval0.start, eval0.end),
+        ("pc-gnd  ", eval0.end, eval1.start),
+        ("eval1   ", eval1.start, eval1.end),
+        ("tail    ", eval1.end, total),
     ];
     println!("\nper-window, per-source energy [fJ]:");
     let sources: Vec<String> = result.branch_names().map(str::to_owned).collect();
@@ -63,14 +67,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nVDD branch current [µA] through time:");
     let ivdd = result.branch("VDD")?;
     for k in 0..30 {
-        let t = controls.total.seconds() * f64::from(k) / 30.0;
+        let t = total.seconds() * f64::from(k) / 30.0;
         print!("{:7.1}", -ivdd.value_at(t) * 1e6);
     }
     println!();
-    println!(
-        "(samples every {:.0} ps)",
-        controls.total.seconds() / 30.0 * 1e12
-    );
+    println!("(samples every {:.0} ps)", total.seconds() / 30.0 * 1e12);
 
     // Key node voltages at window boundaries.
     println!("\nnode levels:");
@@ -78,9 +79,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let t = result.node(node)?;
         println!(
             "{node:>10}: eval0_end {:.3}  eval1_start {:.3}  eval1_end {:.3}  final {:.3}",
-            t.value_at(controls.eval0_end.seconds()),
-            t.value_at(controls.eval1_start.seconds()),
-            t.value_at(controls.eval1_end.seconds()),
+            t.value_at(eval0.end.seconds()),
+            t.value_at(eval1.start.seconds()),
+            t.value_at(eval1.end.seconds()),
             t.last_value()
         );
     }

@@ -2,8 +2,9 @@
 //! the Fig. 7 optimized pre-charge controller).
 //!
 //! Control signals are modelled as ideal voltage sources with trapezoidal
-//! edges. Two restore-sequence generators are provided for the proposed
-//! 2-bit latch:
+//! edges. [`word_restore`] sequences the 1-bit cell and every banked
+//! word (one VDD pre-charge and evaluation per bit); two generators,
+//! chosen by [`ControlScheme`], sequence the proposed 2-bit latch:
 //!
 //! * [`proposed_restore`] — the explicit three-signal scheme of Fig. 6(b):
 //!   independent `PC_VDD`, `PC_GND` and `SEL`-type signals;
@@ -55,46 +56,32 @@ pub fn gate_waveform(
     SourceWaveform::pwl(points)
 }
 
-/// Control waveforms and key instants for a standard 1-bit latch restore.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StandardRestoreControls {
-    /// Pre-charge PMOS gate (active low).
-    pub pc_b: SourceWaveform,
-    /// Sense enable (footer NMOS and transmission gates, active high).
-    pub sen: SourceWaveform,
-    /// Complement of `sen` (transmission-gate PMOS side).
-    pub sen_b: SourceWaveform,
-    /// Instant the evaluation begins (sense-enable rising edge).
-    pub eval_start: Time,
-    /// Instant the evaluation window closes.
-    pub eval_end: Time,
-    /// Total simulation window.
-    pub total: Time,
+/// The rail a sense evaluation's outputs are pre-charged to. It fixes
+/// how the read resolves: from VDD the losing output discharges, from
+/// GND the winning output charges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Precharge {
+    /// Outputs start high; the sense delay is the loser's falling edge.
+    Vdd,
+    /// Outputs start low; the sense delay is the winner's rising edge.
+    Gnd,
 }
 
-/// Generates the standard latch's restore sequence: pre-charge to VDD,
-/// then one evaluation.
-#[must_use]
-pub fn standard_restore(timing: &Timing, vdd: f64) -> StandardRestoreControls {
-    let hi = Voltage::from_volts(vdd);
-    let lo = Voltage::ZERO;
-    let t0 = timing.lead_in;
-    let t1 = t0 + timing.precharge;
-    let t2 = t1 + timing.evaluate;
-    let total = t2 + timing.lead_in;
-    StandardRestoreControls {
-        pc_b: gate_waveform(&[(t0, t1)], hi, lo, timing.edge),
-        sen: gate_waveform(&[(t1 + timing.edge, t2)], lo, hi, timing.edge),
-        sen_b: gate_waveform(&[(t1 + timing.edge, t2)], hi, lo, timing.edge),
-        eval_start: t1 + timing.edge,
-        eval_end: t2,
-        total,
-    }
+/// One sense evaluation of a restore sequence.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Evaluation {
+    /// Sense-enable edge: the evaluation begins.
+    pub start: Time,
+    /// The window closes; the bit is sampled here.
+    pub end: Time,
+    /// Rail the outputs were pre-charged to before `start`.
+    pub precharge: Precharge,
 }
 
 /// Control waveforms and key instants for an n-bit banked word restore:
 /// `bits` sequential pre-charge + evaluate phases sharing one pre-charge
-/// signal, with one sense-enable pair per bit.
+/// signal, with one sense-enable pair per bit. At `bits == 1` this is
+/// the standard 1-bit latch's restore.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WordRestoreControls {
     /// Shared pre-charge PMOS gate (active low), pulsed once per phase.
@@ -103,16 +90,15 @@ pub struct WordRestoreControls {
     pub sen: Vec<SourceWaveform>,
     /// Complements of `sen` (transmission-gate PMOS side).
     pub sen_b: Vec<SourceWaveform>,
-    /// Per-bit evaluation windows `(start, end)` in read order.
-    pub evals: Vec<(Time, Time)>,
+    /// Per-bit evaluations in read order, each after a VDD pre-charge.
+    pub evals: Vec<Evaluation>,
     /// Total simulation window.
     pub total: Time,
 }
 
 /// Generates the restore sequence for an n-bit banked word: phase `i`
 /// pre-charges the shared sense outputs to VDD and then evaluates bit
-/// `i`'s MTJ pair. With `bits == 1` the waveforms and instants reduce
-/// exactly to [`standard_restore`].
+/// `i`'s MTJ pair.
 ///
 /// # Panics
 ///
@@ -125,28 +111,45 @@ pub fn word_restore(timing: &Timing, vdd: f64, bits: usize) -> WordRestoreContro
     let e = timing.edge;
     let period = timing.precharge + timing.evaluate;
     let mut pc_windows = Vec::with_capacity(bits);
-    let mut evals = Vec::with_capacity(bits);
+    let mut windows = Vec::with_capacity(bits);
     for i in 0..bits {
         let t0 = timing.lead_in + period * i as f64;
         let t1 = t0 + timing.precharge;
         let t2 = t1 + timing.evaluate;
         pc_windows.push((t0, t1));
-        evals.push((t1 + e, t2));
+        windows.push((t1 + e, t2));
     }
-    let total = evals.last().expect("bits > 0").1 + timing.lead_in;
+    let total = windows.last().expect("bits > 0").1 + timing.lead_in;
     WordRestoreControls {
         pc_b: gate_waveform(&pc_windows, hi, lo, e),
-        sen: evals
+        sen: windows
             .iter()
             .map(|&w| gate_waveform(&[w], lo, hi, e))
             .collect(),
-        sen_b: evals
+        sen_b: windows
             .iter()
             .map(|&w| gate_waveform(&[w], hi, lo, e))
             .collect(),
-        evals,
+        evals: windows
+            .into_iter()
+            .map(|(start, end)| Evaluation {
+                start,
+                end,
+                precharge: Precharge::Vdd,
+            })
+            .collect(),
         total,
     }
+}
+
+/// Which restore control scheme sequences the proposed 2-bit cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ControlScheme {
+    /// Fig. 6(b): independent PC_VDD / PC_GND / SEL signals.
+    Explicit,
+    /// Fig. 7: single PC plus R_en derive every internal control.
+    #[default]
+    Optimized,
 }
 
 /// Control waveforms and key instants for the proposed 2-bit restore.
@@ -166,14 +169,9 @@ pub struct ProposedRestoreControls {
     pub p4_b: SourceWaveform,
     /// N4 equalizer gate (active high; on while the upper pair is read).
     pub n4: SourceWaveform,
-    /// Lower-pair evaluation start.
-    pub eval0_start: Time,
-    /// Lower-pair evaluation end.
-    pub eval0_end: Time,
-    /// Upper-pair evaluation start.
-    pub eval1_start: Time,
-    /// Upper-pair evaluation end.
-    pub eval1_end: Time,
+    /// The lower-pair read (after a VDD pre-charge), then the upper-pair
+    /// read (after a GND pre-charge).
+    pub evals: [Evaluation; 2],
     /// Total simulation window.
     pub total: Time,
 }
@@ -188,20 +186,43 @@ struct ProposedPhases {
     total: Time,
 }
 
-fn proposed_phases(timing: &Timing) -> ProposedPhases {
-    let t0 = timing.lead_in;
-    let t1 = t0 + timing.precharge; // VDD pre-charge done
-    let t2 = t1 + timing.evaluate; // lower eval done
-    let t3 = t2 + timing.precharge; // GND pre-charge done
-    let t4 = t3 + timing.evaluate; // upper eval done
-    let total = t4 + timing.lead_in;
-    ProposedPhases {
-        t0,
-        t1,
-        t2,
-        t3,
-        t4,
-        total,
+impl ProposedPhases {
+    fn new(timing: &Timing) -> Self {
+        let t0 = timing.lead_in;
+        let t1 = t0 + timing.precharge; // VDD pre-charge done
+        let t2 = t1 + timing.evaluate; // lower eval done
+        let t3 = t2 + timing.precharge; // GND pre-charge done
+        let t4 = t3 + timing.evaluate; // upper eval done
+        let total = t4 + timing.lead_in;
+        Self {
+            t0,
+            t1,
+            t2,
+            t3,
+            t4,
+            total,
+        }
+    }
+
+    /// The two evaluation windows: lower pair, then upper pair.
+    fn windows(&self, edge: Time) -> [(Time, Time); 2] {
+        [(self.t1 + edge, self.t2), (self.t3 + edge, self.t4)]
+    }
+
+    fn evals(&self, edge: Time) -> [Evaluation; 2] {
+        let [(s0, e0), (s1, e1)] = self.windows(edge);
+        [
+            Evaluation {
+                start: s0,
+                end: e0,
+                precharge: Precharge::Vdd,
+            },
+            Evaluation {
+                start: s1,
+                end: e1,
+                precharge: Precharge::Gnd,
+            },
+        ]
     }
 }
 
@@ -213,9 +234,8 @@ pub fn proposed_restore(timing: &Timing, vdd: f64) -> ProposedRestoreControls {
     let hi = Voltage::from_volts(vdd);
     let lo = Voltage::ZERO;
     let e = timing.edge;
-    let p = proposed_phases(timing);
-    let eval0 = (p.t1 + e, p.t2);
-    let eval1 = (p.t3 + e, p.t4);
+    let p = ProposedPhases::new(timing);
+    let [eval0, eval1] = p.windows(e);
     ProposedRestoreControls {
         pcv_b: gate_waveform(&[(p.t0, p.t1)], hi, lo, e),
         pcg: gate_waveform(&[(p.t2 + e, p.t3)], lo, hi, e),
@@ -224,10 +244,7 @@ pub fn proposed_restore(timing: &Timing, vdd: f64) -> ProposedRestoreControls {
         sel_b: gate_waveform(&[eval0, eval1], hi, lo, e),
         p4_b: gate_waveform(&[eval0], hi, lo, e),
         n4: gate_waveform(&[eval1], lo, hi, e),
-        eval0_start: eval0.0,
-        eval0_end: eval0.1,
-        eval1_start: eval1.0,
-        eval1_end: eval1.1,
+        evals: p.evals(e),
         total: p.total,
     }
 }
@@ -247,9 +264,8 @@ pub fn proposed_restore_optimized(timing: &Timing, vdd: f64) -> ProposedRestoreC
     let hi = Voltage::from_volts(vdd);
     let lo = Voltage::ZERO;
     let e = timing.edge;
-    let p = proposed_phases(timing);
-    let eval0 = (p.t1 + e, p.t2);
-    let eval1 = (p.t3 + e, p.t4);
+    let p = ProposedPhases::new(timing);
+    let [eval0, eval1] = p.windows(e);
     // PC is high through the VDD-pre-charge + lower-eval half, low after.
     // P4 gate = N4 gate = PC̄: one signal, two transitions total.
     let pc_bar = gate_waveform(&[(p.t2 + e, p.total)], lo, hi, e);
@@ -264,11 +280,38 @@ pub fn proposed_restore_optimized(timing: &Timing, vdd: f64) -> ProposedRestoreC
         sel_b: gate_waveform(&[eval0, eval1], hi, lo, e),
         p4_b: pc_bar.clone(),
         n4: pc_bar,
-        eval0_start: eval0.0,
-        eval0_end: eval0.1,
-        eval1_start: eval1.0,
-        eval1_end: eval1.1,
+        evals: p.evals(e),
         total: p.total,
+    }
+}
+
+/// A restore sequence of any NV word: the banked sequence (which also
+/// drives the 1-bit cell) or the 2-bit cell's VDD-then-GND sequence.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RestoreControls {
+    /// One VDD pre-charge and evaluation per bit.
+    Banked(WordRestoreControls),
+    /// The proposed 2-bit cell's sequence.
+    Proposed(Box<ProposedRestoreControls>),
+}
+
+impl RestoreControls {
+    /// The evaluations in read order (one per bit).
+    #[must_use]
+    pub fn evals(&self) -> &[Evaluation] {
+        match self {
+            Self::Banked(c) => &c.evals,
+            Self::Proposed(c) => &c.evals,
+        }
+    }
+
+    /// Total simulation window.
+    #[must_use]
+    pub fn total(&self) -> Time {
+        match self {
+            Self::Banked(c) => c.total,
+            Self::Proposed(c) => c.total,
+        }
     }
 }
 
@@ -388,30 +431,38 @@ mod tests {
     }
 
     #[test]
-    fn standard_restore_phase_order() {
-        let c = standard_restore(&timing(), 1.1);
-        assert!(c.eval_start > Time::ZERO);
-        assert!(c.eval_end > c.eval_start);
-        assert!(c.total > c.eval_end);
+    fn one_bit_word_restore_phase_order() {
+        let c = word_restore(&timing(), 1.1, 1);
+        let [eval] = c.evals[..] else {
+            panic!("one evaluation per bit")
+        };
+        assert!(eval.start > Time::ZERO);
+        assert!(eval.end > eval.start);
+        assert!(c.total > eval.end);
+        assert_eq!(eval.precharge, Precharge::Vdd);
         // During pre-charge the PC̄ signal is low and SEN is low.
         let mid_pc = (timing().lead_in + timing().precharge * 0.5).seconds();
         assert_eq!(c.pc_b.value_at(mid_pc), 0.0);
-        assert_eq!(c.sen.value_at(mid_pc), 0.0);
+        assert_eq!(c.sen[0].value_at(mid_pc), 0.0);
         // During evaluation SEN is high, PC̄ high.
-        let mid_eval = ((c.eval_start + c.eval_end) * 0.5).seconds();
-        assert_eq!(c.sen.value_at(mid_eval), 1.1);
+        let mid_eval = ((eval.start + eval.end) * 0.5).seconds();
+        assert_eq!(c.sen[0].value_at(mid_eval), 1.1);
         assert_eq!(c.pc_b.value_at(mid_eval), 1.1);
-        assert_eq!(c.sen_b.value_at(mid_eval), 0.0);
+        assert_eq!(c.sen_b[0].value_at(mid_eval), 0.0);
     }
 
     #[test]
     fn proposed_restore_reads_sequentially() {
         let c = proposed_restore(&timing(), 1.1);
-        assert!(c.eval0_start < c.eval0_end);
-        assert!(c.eval0_end < c.eval1_start);
-        assert!(c.eval1_start < c.eval1_end);
-        let mid0 = ((c.eval0_start + c.eval0_end) * 0.5).seconds();
-        let mid1 = ((c.eval1_start + c.eval1_end) * 0.5).seconds();
+        let [e0, e1] = c.evals;
+        assert!(e0.start < e0.end);
+        assert!(e0.end < e1.start);
+        assert!(e1.start < e1.end);
+        // The upper read follows the GND pre-charge.
+        assert_eq!(e0.precharge, Precharge::Vdd);
+        assert_eq!(e1.precharge, Precharge::Gnd);
+        let mid0 = ((e0.start + e0.end) * 0.5).seconds();
+        let mid1 = ((e1.start + e1.end) * 0.5).seconds();
         // Lower eval: ren high, P4 on (gate low), N4 off, P3 on.
         assert_eq!(c.ren.value_at(mid0), 1.1);
         assert_eq!(c.p4_b.value_at(mid0), 0.0);
@@ -422,7 +473,7 @@ mod tests {
         assert_eq!(c.n4.value_at(mid1), 1.1);
         assert_eq!(c.p4_b.value_at(mid1), 1.1);
         // GND pre-charge between the halves.
-        let between = ((c.eval0_end + c.eval1_start) * 0.5).seconds();
+        let between = ((e0.end + e1.start) * 0.5).seconds();
         assert_eq!(c.pcg.value_at(between), 1.1);
         assert_eq!(c.ren.value_at(between), 0.0);
     }
@@ -434,8 +485,7 @@ mod tests {
         assert_eq!(c.p4_b, c.n4);
         // Same evaluation windows as the explicit scheme.
         let e = proposed_restore(&timing(), 1.1);
-        assert_eq!(c.eval0_start, e.eval0_start);
-        assert_eq!(c.eval1_end, e.eval1_end);
+        assert_eq!(c.evals, e.evals);
         // The tail parks the outputs at GND (write precondition).
         let tail = (c.total - timing().lead_in * 0.25).seconds();
         assert_eq!(c.pcg.value_at(tail), 1.1);
@@ -480,18 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn one_bit_word_restore_is_the_standard_restore() {
-        let t = timing();
-        let std = standard_restore(&t, 1.1);
-        let word = word_restore(&t, 1.1, 1);
-        assert_eq!(word.pc_b, std.pc_b);
-        assert_eq!(word.sen, vec![std.sen]);
-        assert_eq!(word.sen_b, vec![std.sen_b]);
-        assert_eq!(word.evals, vec![(std.eval_start, std.eval_end)]);
-        assert_eq!(word.total, std.total);
-    }
-
-    #[test]
     fn word_restore_phases_are_sequential_and_disjoint() {
         let t = timing();
         let c = word_restore(&t, 1.1, 4);
@@ -499,11 +537,11 @@ mod tests {
         assert_eq!(c.sen_b.len(), 4);
         assert_eq!(c.evals.len(), 4);
         for pair in c.evals.windows(2) {
-            assert!(pair[0].1 < pair[1].0, "windows overlap: {pair:?}");
+            assert!(pair[0].end < pair[1].start, "windows overlap: {pair:?}");
         }
         // Each bit's sense enable is active only inside its own window.
-        for (i, &(start, end)) in c.evals.iter().enumerate() {
-            let mid = ((start + end) * 0.5).seconds();
+        for (i, eval) in c.evals.iter().enumerate() {
+            let mid = ((eval.start + eval.end) * 0.5).seconds();
             for (j, sen) in c.sen.iter().enumerate() {
                 let v = sen.value_at(mid);
                 if i == j {
@@ -513,7 +551,7 @@ mod tests {
                 }
             }
         }
-        assert!(c.total > c.evals[3].1);
+        assert!(c.total > c.evals[3].end);
     }
 
     #[test]

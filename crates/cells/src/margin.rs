@@ -12,7 +12,7 @@ use mtj::MtjParams;
 
 use crate::config::LatchConfig;
 use crate::error::CellError;
-use crate::proposed::ProposedLatch;
+use crate::generator::{NvWord, WordParams};
 
 /// Output separation of both reads, as fractions of VDD at each
 /// evaluation's sampling instant.
@@ -32,22 +32,35 @@ impl ReadMargins {
     }
 }
 
-/// Measures the read margins of a proposed latch restoring `stored`.
+/// Measures the read margins of the proposed 2-bit latch restoring
+/// `stored`.
 ///
 /// # Errors
 ///
 /// [`CellError::Simulation`] on solver failure (an unresolved read is
 /// *not* an error here — it shows up as a small margin).
-pub fn read_margins(latch: &ProposedLatch, stored: [bool; 2]) -> Result<ReadMargins, CellError> {
-    let (result, controls) = latch.restore_traces(stored)?;
+///
+/// # Panics
+///
+/// Panics if `latch` is not a 2-bit word.
+pub fn read_margins(latch: &NvWord, stored: [bool; 2]) -> Result<ReadMargins, CellError> {
+    let (result, controls) = latch.restore_traces(&stored)?;
     let vdd = latch.config().vdd();
     let q = result.node("mtj_read")?;
     let qb = result.node("mtj_read_b")?;
     let sep = |t: f64| (q.value_at(t) - qb.value_at(t)).abs() / vdd;
+    let [lower, upper] = controls.evals() else {
+        panic!("read margins are defined for the 2-bit cell")
+    };
     Ok(ReadMargins {
-        lower: sep(controls.eval0_end.seconds()),
-        upper: sep(controls.eval1_end.seconds()),
+        lower: sep(lower.end.seconds()),
+        upper: sep(upper.end.seconds()),
     })
+}
+
+/// The proposed 2-bit latch under `config`.
+fn two_bit(config: LatchConfig) -> NvWord {
+    NvWord::new(WordParams::new(2), config)
 }
 
 /// One point of a TMR sweep.
@@ -84,10 +97,10 @@ pub fn sweep_tmr(base: &LatchConfig, tmrs: &[f64]) -> Result<Vec<MarginPoint>, C
     let mut out = Vec::with_capacity(tmrs.len());
     for &tmr in tmrs {
         let config = config_with_tmr(base, tmr)?;
-        let latch = ProposedLatch::new(config);
+        let latch = two_bit(config);
         let margins = read_margins(&latch, [true, false])?;
         let resolved = latch
-            .simulate_restore([true, false])
+            .simulate_restore(&[true, false])
             .map(|r| r.bits == [true, false])
             .unwrap_or(false);
         out.push(MarginPoint {
@@ -110,8 +123,8 @@ pub fn sweep_tmr(base: &LatchConfig, tmrs: &[f64]) -> Result<Vec<MarginPoint>, C
 pub fn minimum_resolvable_tmr(base: &LatchConfig, tolerance: f64) -> Result<f64, CellError> {
     let resolves = |tmr: f64| -> Result<bool, CellError> {
         let config = config_with_tmr(base, tmr)?;
-        Ok(ProposedLatch::new(config)
-            .simulate_restore([true, false])
+        Ok(two_bit(config)
+            .simulate_restore(&[true, false])
             .map(|r| r.bits == [true, false])
             .unwrap_or(false))
     };
@@ -152,7 +165,7 @@ mod tests {
 
     #[test]
     fn nominal_margins_are_wide() {
-        let latch = ProposedLatch::new(LatchConfig::default());
+        let latch = two_bit(LatchConfig::default());
         let m = read_margins(&latch, [true, false]).expect("margins");
         assert!(m.lower > 0.9, "lower margin {}", m.lower);
         assert!(m.upper > 0.9, "upper margin {}", m.upper);
@@ -186,8 +199,8 @@ mod tests {
                 .tmr_zero_bias(tmr)
                 .build()
                 .expect("valid tmr");
-            ProposedLatch::new(config)
-                .simulate_restore([true, false])
+            two_bit(config)
+                .simulate_restore(&[true, false])
                 .map(|r| r.bits == [true, false])
                 .unwrap_or(false)
         };

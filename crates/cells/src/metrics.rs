@@ -9,17 +9,16 @@ use units::{Energy, Power, Time};
 
 use crate::config::{Corner, LatchConfig};
 use crate::error::CellError;
-use crate::proposed::ProposedLatch;
-use crate::standard::StandardLatch;
+use crate::generator::{NvWord, WordParams};
 
-/// Outcome of a restore (read) simulation over `N` bits.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RestoreOutcome<const N: usize> {
+/// Outcome of a restore (read) simulation of an n-bit word.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RestoreOutcome {
     /// The recovered logic values, in read order.
-    pub bits: [bool; N],
+    pub bits: Vec<bool>,
     /// Sense delay of each evaluation, measured from its own
     /// sense-enable edge to the deciding output crossing VDD/2.
-    pub sense_delays: [Time; N],
+    pub sense_delays: Vec<Time>,
     /// Total read delay: the sum of the sense delays (the paper's
     /// definition — sequential reads double it).
     pub read_delay: Time,
@@ -36,11 +35,11 @@ pub struct RestoreOutcome<const N: usize> {
     pub solver: spice::SolverStats,
 }
 
-/// Outcome of a store (write) simulation over `N` bits.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StoreOutcome<const N: usize> {
+/// Outcome of a store (write) simulation of an n-bit word.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StoreOutcome {
     /// The bits now held by the NV pairs.
-    pub stored: [bool; N],
+    pub stored: Vec<bool>,
     /// Energy drawn from pulse start until the store *completed* (last
     /// MTJ reversal plus a small settling margin) — the paper's write
     /// energy. The drive pulse itself is sized for the worst corner, so
@@ -140,44 +139,28 @@ pub struct CellMetrics {
 }
 
 /// Characterizes two standard 1-bit latches at a corner (the Table II
-/// baseline): single-cell metrics are measured and doubled, except the
-/// delay, which is a single sense evaluation.
-///
-/// Read metrics are averaged over both stored-bit values.
+/// baseline): the 1-bit word's metrics, doubled except the delay — the
+/// two cells sense in parallel. Read metrics are averaged over both
+/// stored-bit values.
 ///
 /// # Errors
 ///
 /// Propagates any [`CellError`] from the underlying simulations.
 pub fn characterize_standard_pair(config: &LatchConfig) -> Result<CellMetrics, CellError> {
-    characterize_standard_pair_with(&StandardLatch::new(config.clone()))
+    NvWord::new(WordParams::new(1), config.clone())
+        .characterize()
+        .map(standard_pair)
 }
 
-/// [`characterize_standard_pair`] against a caller-owned latch, so a
-/// worker sweeping many corners can reuse its latches (and their cached
-/// solver sessions). The reported solver work is the **delta** incurred
-/// by this characterization, not the latch's lifetime total — reuse
-/// would otherwise double-count.
-///
-/// # Errors
-///
-/// Propagates any [`CellError`] from the underlying simulations.
-pub fn characterize_standard_pair_with(latch: &StandardLatch) -> Result<CellMetrics, CellError> {
-    let _span = telemetry::span("cells.characterize_standard_pair");
-    let solver_before = latch.solver_stats();
-    let r0 = latch.simulate_restore([false])?;
-    let r1 = latch.simulate_restore([true])?;
-    let read_energy = (r0.supply_energy + r1.supply_energy) * 0.5 * 2.0; // avg per cell × 2
-    let read_delay = (r0.read_delay + r1.read_delay) * 0.5; // parallel cells: 1 sense
-    let w = latch.simulate_store([true], [false])?;
-    Ok(CellMetrics {
-        read_energy,
-        read_delay,
-        leakage: latch.leakage()? * 2.0,
-        write_energy: w.energy * 2.0,
-        write_latency: w.latency,
-        read_transistors: latch.read_path_transistors() * 2,
-        solver: latch.solver_stats() - solver_before,
-    })
+/// A 1-bit word's metrics as the two-cell baseline's.
+fn standard_pair(one: CellMetrics) -> CellMetrics {
+    CellMetrics {
+        read_energy: one.read_energy * 2.0,
+        leakage: one.leakage * 2.0,
+        write_energy: one.write_energy * 2.0,
+        read_transistors: one.read_transistors * 2,
+        ..one
+    }
 }
 
 /// Characterizes the proposed 2-bit latch at a corner. Read metrics are
@@ -187,37 +170,7 @@ pub fn characterize_standard_pair_with(latch: &StandardLatch) -> Result<CellMetr
 ///
 /// Propagates any [`CellError`] from the underlying simulations.
 pub fn characterize_proposed(config: &LatchConfig) -> Result<CellMetrics, CellError> {
-    characterize_proposed_with(&ProposedLatch::new(config.clone()))
-}
-
-/// [`characterize_proposed`] against a caller-owned latch; like
-/// [`characterize_standard_pair_with`], reports the solver-work delta of
-/// this characterization only.
-///
-/// # Errors
-///
-/// Propagates any [`CellError`] from the underlying simulations.
-pub fn characterize_proposed_with(latch: &ProposedLatch) -> Result<CellMetrics, CellError> {
-    let _span = telemetry::span("cells.characterize_proposed");
-    let solver_before = latch.solver_stats();
-    let patterns = [[false, false], [false, true], [true, false], [true, true]];
-    let mut energy = Energy::ZERO;
-    let mut delay = Time::ZERO;
-    for p in patterns {
-        let r = latch.simulate_restore(p)?;
-        energy += r.supply_energy;
-        delay += r.read_delay;
-    }
-    let w = latch.simulate_store([true, false], [false, true])?;
-    Ok(CellMetrics {
-        read_energy: energy / patterns.len() as f64,
-        read_delay: delay / patterns.len() as f64,
-        leakage: latch.leakage()?,
-        write_energy: w.energy,
-        write_latency: w.latency,
-        read_transistors: latch.read_path_transistors(),
-        solver: latch.solver_stats() - solver_before,
-    })
+    NvWord::new(WordParams::new(2), config.clone()).characterize()
 }
 
 /// Worst/typical/best envelope of one scalar metric over the corner grid
@@ -257,12 +210,12 @@ impl CornerEnvelope {
     }
 }
 
-/// A worker's lazily-built latches for one corner: both designs share
-/// the corner's configuration, and each latch keeps its cached solver
-/// session alive for the whole sweep.
-struct CornerLatches {
-    standard: StandardLatch,
-    proposed: ProposedLatch,
+/// A worker's lazily-built words for one corner: both designs share the
+/// corner's configuration, and each word keeps its cached solver session
+/// alive for the whole sweep.
+struct CornerWords {
+    standard: NvWord,
+    proposed: NvWord,
 }
 
 /// The full Table II comparison: both designs characterized over the
@@ -293,7 +246,7 @@ impl LatchComparison {
     /// [`LatchComparison::evaluate`] with an explicit worker count
     /// (`0` = auto, `1` = serial on the calling thread).
     ///
-    /// Each worker owns a [`sweep::LazyPool`] of per-corner latches, so
+    /// Each worker owns a [`sweep::LazyPool`] of per-corner words, so
     /// the solver sessions built for a corner stay cached on the worker
     /// that built them; the metrics carry per-characterization solver
     /// deltas and are unaffected by the reuse.
@@ -315,17 +268,17 @@ impl LatchComparison {
         let outcome = sweep::run_with_state(
             &grid,
             &opts,
-            |_worker| sweep::LazyPool::<Corner, CornerLatches>::new(),
+            |_worker| sweep::LazyPool::<Corner, CornerWords>::new(),
             |pool, _ctx, &corner| {
-                let latches = pool.get_or_build(corner, || {
+                let words = pool.get_or_build(corner, || {
                     let cfg = base.at_corner(corner);
-                    CornerLatches {
-                        standard: StandardLatch::new(cfg.clone()),
-                        proposed: ProposedLatch::new(cfg),
+                    CornerWords {
+                        standard: NvWord::new(WordParams::new(1), cfg.clone()),
+                        proposed: NvWord::new(WordParams::new(2), cfg),
                     }
                 });
-                let std_m = characterize_standard_pair_with(&latches.standard)?;
-                let prop_m = characterize_proposed_with(&latches.proposed)?;
+                let std_m = standard_pair(words.standard.characterize()?);
+                let prop_m = words.proposed.characterize()?;
                 Ok::<_, CellError>((std_m, prop_m))
             },
             None,

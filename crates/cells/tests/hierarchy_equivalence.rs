@@ -9,7 +9,7 @@
 //! MTJ polarities copied verbatim). They intentionally bypass the
 //! generator so any drift in its emission order fails here.
 
-use cells::control::word_restore;
+use cells::control::{word_restore, RestoreControls};
 use cells::generator::{word_circuit, word_subckt};
 use cells::{LatchConfig, WordParams, WordStimulus};
 use mtj::{Mtj, MtjState, WritePolarity};
@@ -324,7 +324,11 @@ fn standard_restore_transient_is_bit_for_bit() -> CellResult<()> {
     let cfg = LatchConfig::default();
     let params = WordParams::new(1);
     let controls = word_restore(&cfg.timing, cfg.vdd(), 1);
-    let stim = WordStimulus::restore(&params, &controls, cfg.vdd());
+    let stim = WordStimulus::restore(
+        &params,
+        &RestoreControls::Banked(controls.clone()),
+        cfg.vdd(),
+    );
 
     let generated = word_circuit(&params, &cfg, &stim, &[true])?;
     let legacy = legacy_standard(&cfg, &stim, true)?;
@@ -355,7 +359,11 @@ fn instantiated_word_tracks_the_flat_netlist() -> CellResult<()> {
     let cfg = LatchConfig::default();
     let params = WordParams::new(1);
     let controls = word_restore(&cfg.timing, cfg.vdd(), 1);
-    let stim = WordStimulus::restore(&params, &controls, cfg.vdd());
+    let stim = WordStimulus::restore(
+        &params,
+        &RestoreControls::Banked(controls.clone()),
+        cfg.vdd(),
+    );
 
     // Flat reference.
     let flat = word_circuit(&params, &cfg, &stim, &[true])?;

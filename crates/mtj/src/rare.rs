@@ -1022,13 +1022,27 @@ pub struct TailSurface {
     pub summary: sweep::RunSummary,
 }
 
-/// Canonical fingerprint of a surface campaign for
-/// [`sweep::CheckpointPolicy::fingerprint`] — covers the axes and every
-/// option that changes the numbers.
+/// Canonical fingerprint of a [`tail_surface`] campaign for
+/// [`sweep::CheckpointPolicy::fingerprint`] — covers the physics (the
+/// nominal device, base variation, thermal model and drive current),
+/// the axes and every option that changes the numbers. It takes
+/// `tail_surface`'s own inputs, so a checkpoint written under other
+/// physics is never resumed into this campaign.
 #[must_use]
-pub fn surface_fingerprint(axes: &SurfaceAxes, opts: &TailOptions) -> u64 {
+pub fn surface_fingerprint(
+    nominal: &MtjParams,
+    base_variation: &VariationModel,
+    thermal: &ThermalModel,
+    current: Current,
+    axes: &SurfaceAxes,
+    opts: &TailOptions,
+) -> u64 {
     use core::fmt::Write as _;
-    let mut desc = String::from("nvff-rare-surface/1");
+    // `Debug` prints every f64 field in round-trip form, so distinct
+    // physics never share a description.
+    let mut desc = format!(
+        "nvff-rare-surface/2|dev={nominal:?}|var={base_variation:?}|th={thermal:?}|i={current:?}"
+    );
     for p in &axes.pulses {
         let _ = write!(desc, "|p={}", p.seconds());
     }
@@ -1453,15 +1467,61 @@ mod tests {
             temperatures: vec![Temperature::from_celsius(27.0)],
         };
         let opts = TailOptions::default();
-        let base = surface_fingerprint(&axes, &opts);
-        assert_eq!(base, surface_fingerprint(&axes, &opts));
+        let nominal = MtjParams::date2018();
+        let variation = VariationModel::default();
+        let thermal = ThermalModel::default();
+        let current = nominal.nominal_write_current();
+        let fp = |nominal: &MtjParams,
+                  variation: &VariationModel,
+                  thermal: &ThermalModel,
+                  current: Current,
+                  axes: &SurfaceAxes,
+                  opts: &TailOptions| {
+            surface_fingerprint(nominal, variation, thermal, current, axes, opts)
+        };
+        let base = fp(&nominal, &variation, &thermal, current, &axes, &opts);
+        assert_eq!(
+            base,
+            fp(&nominal, &variation, &thermal, current, &axes, &opts)
+        );
         let mut other = axes.clone();
         other.sigma_switching_currents = vec![0.06];
-        assert_ne!(base, surface_fingerprint(&other, &opts));
+        assert_ne!(
+            base,
+            fp(&nominal, &variation, &thermal, current, &other, &opts)
+        );
         let fewer = TailOptions {
             samples: 5000,
             ..opts
         };
-        assert_ne!(base, surface_fingerprint(&axes, &fewer));
+        assert_ne!(
+            base,
+            fp(&nominal, &variation, &thermal, current, &axes, &fewer)
+        );
+        // One case per physics input.
+        let hotter = nominal
+            .to_builder()
+            .critical_current(Current::from_micro_amps(40.0))
+            .build()
+            .expect("valid device");
+        assert_ne!(
+            base,
+            fp(&hotter, &variation, &thermal, current, &axes, &opts)
+        );
+        let wider = VariationModel::new(0.08, variation.sigma_tmr(), 0.05).expect("valid");
+        assert_ne!(base, fp(&nominal, &wider, &thermal, current, &axes, &opts));
+        let steeper = ThermalModel {
+            k_ic: 2e-3,
+            ..thermal
+        };
+        assert_ne!(
+            base,
+            fp(&nominal, &variation, &steeper, current, &axes, &opts)
+        );
+        let stronger = Current::from_micro_amps(80.0);
+        assert_ne!(
+            base,
+            fp(&nominal, &variation, &thermal, stronger, &axes, &opts)
+        );
     }
 }

@@ -16,10 +16,16 @@
 //!   probes the directory before declaring a miss. Restarting the
 //!   server keeps its warm set; concurrent servers may share one
 //!   directory because renames are atomic and content-addressed files
-//!   never conflict on content.
+//!   never conflict on content. Each file opens with a one-line header,
+//!   `nvff-cache/1 <32-hex-key> <body bytes>`, and a read serves the
+//!   body only if the header names the probed key and the body has
+//!   exactly the recorded length. A truncated, foreign or headerless
+//!   file is a miss, never a hit; the next insert of that key
+//!   overwrites it.
 //!
 //! Telemetry: `serve.cache.hits` (either layer), `serve.cache.disk_hits`
-//! (subset: memory miss rescued by disk), `serve.cache.evictions`.
+//! (subset: memory miss rescued by disk), `serve.cache.disk_rejects`
+//! (disk files that failed verification), `serve.cache.evictions`.
 //! Misses are *not* counted here — the queue counts `serve.cache.misses`
 //! when it actually schedules a computation, so hits + misses adds up
 //! to completed requests rather than to internal probe counts.
@@ -30,6 +36,10 @@ use std::sync::{Arc, Mutex};
 
 /// Number of independently-locked shards (a power of two).
 pub const SHARDS: usize = 16;
+
+/// Magic opening a disk entry's header line (bumped if the layout
+/// changes, so older files read as misses).
+const DISK_MAGIC: &str = "nvff-cache/1";
 
 /// Default total capacity (entries across all shards). A rendered
 /// response is ~1 KiB, so the default costs a few MiB at worst.
@@ -130,8 +140,12 @@ impl ResultCache {
             return Some(value);
         }
         let dir = self.disk_dir.as_deref()?;
-        let text = std::fs::read_to_string(Self::disk_path(dir, key)).ok()?;
-        let value = Arc::new(text);
+        let bytes = std::fs::read(Self::disk_path(dir, key)).ok()?;
+        let Some(body) = Self::verified_body(&bytes, key) else {
+            telemetry::counter("serve.cache.disk_rejects", 1);
+            return None;
+        };
+        let value = Arc::new(body.to_owned());
         // Promote to memory so the next probe skips the filesystem.
         let evicted =
             Self::lock(self.shard(key)).insert(key, Arc::clone(&value), self.per_shard_capacity);
@@ -165,8 +179,22 @@ impl ResultCache {
         // Process-unique tmp name: two servers sharing the directory
         // must not clobber each other's half-written files.
         let tmp = dir.join(format!(".tmp-{}-{key:032x}", std::process::id()));
-        std::fs::write(&tmp, value)?;
+        let entry = format!("{DISK_MAGIC} {key:032x} {}\n{value}", value.len());
+        std::fs::write(&tmp, entry)?;
         std::fs::rename(&tmp, path)
+    }
+
+    /// The body of a disk entry, if its header names `key` and records
+    /// the body's exact length.
+    fn verified_body(bytes: &[u8], key: u128) -> Option<&str> {
+        let text = std::str::from_utf8(bytes).ok()?;
+        let (header, body) = text.split_once('\n')?;
+        let mut fields = header.split(' ');
+        let ok = fields.next() == Some(DISK_MAGIC)
+            && fields.next().and_then(|k| u128::from_str_radix(k, 16).ok()) == Some(key)
+            && fields.next().and_then(|n| n.parse::<usize>().ok()) == Some(body.len())
+            && fields.next().is_none();
+        ok.then_some(body)
     }
 
     /// Number of entries currently resident in memory.
@@ -251,6 +279,43 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp"))
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unverified_disk_files_are_misses_until_overwritten() {
+        let dir = std::env::temp_dir().join(format!(
+            "nvff-serve-cache-reject-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (truncated, foreign) = (0x7001_u128, 0x7002_u128);
+        {
+            let cache = ResultCache::with_disk(64, Some(dir.clone()));
+            cache.insert(truncated, Arc::new("{\"body\":1}".into()));
+            cache.insert(0x7003, Arc::new("{\"other\":2}".into()));
+        }
+        // Truncate one entry mid-body, and copy another key's (valid)
+        // entry under a third key's name.
+        let path = |key| ResultCache::disk_path(&dir, key);
+        let full = std::fs::read(path(truncated)).expect("entry");
+        std::fs::write(path(truncated), &full[..full.len() - 3]).expect("truncate");
+        std::fs::copy(path(0x7003), path(foreign)).expect("copy");
+
+        let cache = ResultCache::with_disk(64, Some(dir.clone()));
+        assert!(cache.get(truncated).is_none(), "truncated file served");
+        assert!(cache.get(foreign).is_none(), "foreign file served");
+        assert!(cache.is_empty(), "a rejected file must not reach memory");
+        // A headerless body (or any other bytes) is rejected the same way.
+        assert_eq!(ResultCache::verified_body(b"{}", 1), None);
+        // The next insert overwrites the bad file with a verified entry.
+        cache.insert(foreign, Arc::new("{\"fresh\":3}".into()));
+        let fresh = ResultCache::with_disk(64, Some(dir.clone()));
+        assert_eq!(
+            fresh.get(foreign).as_deref().map(String::as_str),
+            Some("{\"fresh\":3}")
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

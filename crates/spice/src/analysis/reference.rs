@@ -11,7 +11,7 @@
 //! waveforms. Its straight-line assembly is the only check of the
 //! session's `StampPlan` stamping that does not share that code.
 //!
-//! Results carry zeroed [`SolverStats`](super::SolverStats); only the
+//! Results carry zeroed [`SolverStats`]; only the
 //! session engine counts work. New code should use the session engine
 //! (or the free functions in [`super`], which wrap it).
 

@@ -1,7 +1,7 @@
 //! The worker pool and ordered result collector.
 //!
 //! [`run`] / [`run_with_state`] execute every point of a
-//! [`Grid`](crate::Grid) and return the results **in grid order**,
+//! [`Grid`] and return the results **in grid order**,
 //! regardless of completion order. Work distribution is chunked
 //! self-scheduling over a shared atomic cursor (the zero-dependency
 //! cousin of work-stealing: finished workers pull the next chunk

@@ -3,7 +3,7 @@
 //! A [`RunReport`] collects named sections (one per table/benchmark),
 //! each holding scalar metrics the caller converts itself (keeping this
 //! crate free of upstream types like `SolverStats`), and embeds the
-//! registry [`Snapshot`](crate::Snapshot) — wall-clock, span tree,
+//! registry [`Snapshot`] — wall-clock, span tree,
 //! counters and histograms — at write time. The output is a single
 //! JSON document, parseable by this crate's own [`crate::json`] reader,
 //! which is what `scripts/ci.sh` uses to validate it offline.

@@ -57,9 +57,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             mtj: sample,
             ..LatchConfig::default()
         };
-        let latch = ProposedLatch::new(config);
+        let latch = NvWord::new(WordParams::new(2), config);
         let ok = latch
-            .simulate_restore([true, false])
+            .simulate_restore(&[true, false])
             .map(|r| r.bits == [true, false])
             .unwrap_or(false);
         if !ok {

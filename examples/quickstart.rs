@@ -30,25 +30,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- Circuit level: the same cycle through SPICE ----------------
-    let latch = ProposedLatch::new(LatchConfig::default());
+    let latch = NvWord::new(WordParams::new(2), LatchConfig::default());
 
     println!("store phase (writing [1, 0] over [0, 1])...");
-    let store = latch.simulate_store([true, false], [false, true])?;
+    let store = latch.simulate_store(&[true, false], &[false, true])?;
     println!(
         "  stored {:?} — {} MTJ reversals, latency {}, energy {}",
         store.stored, store.switch_count, store.latency, store.energy
     );
 
     println!("restore phase (wake-up from 0 V)...");
-    let restore = latch.simulate_restore([true, false])?;
+    let restore = latch.simulate_restore(&[true, false])?;
     println!(
         "  read back {:?} — sense delays {} + {}, supply energy {}",
         restore.bits, restore.sense_delays[0], restore.sense_delays[1], restore.supply_energy
     );
 
     // ---- The headline comparison ------------------------------------
-    let standard = StandardLatch::new(LatchConfig::default());
-    let single = standard.simulate_restore([true])?;
+    let standard = NvWord::new(WordParams::new(1), LatchConfig::default());
+    let single = standard.simulate_restore(&[true])?;
     println!("\nversus two standard 1-bit cells:");
     println!(
         "  2× standard: energy {}, delay {} (parallel)",

@@ -7,7 +7,7 @@
 //! cargo run --release --example thermal_sweep
 //! ```
 
-use cells::{margin, LatchConfig, ProposedLatch};
+use cells::{margin, LatchConfig, NvWord, WordParams};
 use mtj::{wer, MtjParams, SwitchingModel, ThermalModel};
 use units::Current;
 
@@ -28,11 +28,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let mut config = base.clone();
         config.mtj = params.clone();
-        let latch = ProposedLatch::new(config);
+        let latch = NvWord::new(WordParams::new(2), config);
 
         let margins = margin::read_margins(&latch, [true, false])?;
         let restored = latch
-            .simulate_restore([true, false])
+            .simulate_restore(&[true, false])
             .map(|r| r.bits == [true, false])
             .unwrap_or(false);
         let tau = SwitchingModel::new(&params).mean_switching_time(Current::from_micro_amps(63.0));

@@ -36,6 +36,10 @@ if [ "$run_clippy" -eq 1 ]; then
     fi
 fi
 
+echo "==> cargo doc (workspace, rustdoc warnings are errors)"
+# A renamed or deleted type must not leave an intra-doc link dangling.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
+
 echo "==> cargo test (workspace)"
 # Property suites run on a pinned stream: a CI failure log then names
 # the exact case stream, reproducible locally with the same seed.

@@ -17,7 +17,7 @@
 //! | [`mtj`] | MTJ compact model (resistance, switching, variation) |
 //! | [`spice`] | MNA circuit simulator (OP, DC sweep, transient) |
 //! | [`sweep`] | deterministic parallel sweep / Monte-Carlo execution engine |
-//! | [`cells`] | the standard 1-bit and proposed 2-bit NV latch circuits |
+//! | [`cells`] | the NV latch family: standard 1-bit, proposed 2-bit, n-bit words |
 //! | [`layout`] | procedural cell layout, areas, SVG |
 //! | [`netlist`] | gate-level IR + synthetic ISCAS/ITC/or1200 benchmarks |
 //! | [`place`] | floorplan, placement, DEF I/O |
@@ -33,10 +33,10 @@
 //! use spintronic_ff::prelude::*;
 //!
 //! # fn main() -> Result<(), cells::CellError> {
-//! let standard = StandardLatch::new(LatchConfig::default());
-//! let proposed = ProposedLatch::new(LatchConfig::default());
-//! let one_bit = standard.simulate_restore([true])?;
-//! let two_bits = proposed.simulate_restore([true, false])?;
+//! let standard = NvWord::new(WordParams::new(1), LatchConfig::default());
+//! let proposed = NvWord::new(WordParams::new(2), LatchConfig::default());
+//! let one_bit = standard.simulate_restore(&[true])?;
+//! let two_bits = proposed.simulate_restore(&[true, false])?;
 //! assert_eq!(two_bits.bits, [true, false]);
 //! assert!(two_bits.supply_energy < one_bit.supply_energy * 2.0);
 //! # Ok(())
@@ -59,7 +59,7 @@ pub use units;
 
 /// The most common items in one import.
 pub mod prelude {
-    pub use cells::{Corner, LatchConfig, ProposedLatch, StandardLatch};
+    pub use cells::{Corner, LatchConfig, NvWord, WordParams};
     pub use mtj::{MtjParams, MtjState};
     pub use nvff::system::{EvaluationMode, SystemCosts};
     pub use nvff::{MultiBitNvFlipFlop, NvFlipFlop, PowerGatingModel};

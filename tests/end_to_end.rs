@@ -3,7 +3,7 @@
 //! restore — and the full horizontal system flow from netlist to
 //! Table III row.
 
-use cells::{LatchConfig, ProposedLatch, StandardLatch};
+use cells::{LatchConfig, NvWord, WordParams};
 use merge::MergeOptions;
 use netlist::{benchmarks, CellLibrary};
 use nvff::system::{self, SystemCosts};
@@ -15,17 +15,17 @@ use place::placer::{self, PlacerOptions};
 /// the non-volatility contract across a simulated power cycle.
 #[test]
 fn store_then_restore_round_trips_through_the_mtjs() {
-    let latch = ProposedLatch::new(LatchConfig::default());
+    let latch = NvWord::new(WordParams::new(2), LatchConfig::default());
     for data in [[false, false], [false, true], [true, false], [true, true]] {
         // Store against the worst-case previous content.
         let initial = [!data[0], !data[1]];
-        let store = latch.simulate_store(data, initial).expect("store");
+        let store = latch.simulate_store(&data, &initial).expect("store");
         assert_eq!(store.stored, data);
 
         // The power-down interval: the CMOS state is gone; only the MTJ
         // states survive. A fresh restore simulation preconditions its
         // devices with exactly those states.
-        let restore = latch.simulate_restore(data).expect("restore");
+        let restore = latch.simulate_restore(&data).expect("restore");
         assert_eq!(
             restore.bits, data,
             "pattern {data:?} lost across power cycle"
@@ -35,11 +35,11 @@ fn store_then_restore_round_trips_through_the_mtjs() {
 
 #[test]
 fn standard_latch_round_trips_too() {
-    let latch = StandardLatch::new(LatchConfig::default());
+    let latch = NvWord::new(WordParams::new(1), LatchConfig::default());
     for bit in [false, true] {
-        let store = latch.simulate_store([bit], [!bit]).expect("store");
+        let store = latch.simulate_store(&[bit], &[!bit]).expect("store");
         assert_eq!(store.stored, [bit]);
-        let restore = latch.simulate_restore([bit]).expect("restore");
+        let restore = latch.simulate_restore(&[bit]).expect("restore");
         assert_eq!(restore.bits, [bit]);
     }
 }
@@ -109,7 +109,7 @@ fn measured_rows_never_degrade_the_baseline() {
 #[test]
 fn behavioral_model_matches_circuit_restore() {
     use nvff::MultiBitNvFlipFlop;
-    let latch = ProposedLatch::new(LatchConfig::default());
+    let latch = NvWord::new(WordParams::new(2), LatchConfig::default());
     for data in [[true, true], [false, true]] {
         // Behavioral path.
         let mut pair = MultiBitNvFlipFlop::new();
@@ -119,7 +119,7 @@ fn behavioral_model_matches_circuit_restore() {
         pair.power_up().expect("pu");
         let behavioral = [pair.q(0).expect("q0"), pair.q(1).expect("q1")];
         // Circuit path.
-        let circuit = latch.simulate_restore(data).expect("restore").bits;
-        assert_eq!(behavioral, circuit);
+        let circuit = latch.simulate_restore(&data).expect("restore").bits;
+        assert_eq!(circuit, behavioral);
     }
 }

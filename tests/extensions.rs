@@ -3,7 +3,7 @@
 //! interchange, VCD export, LEF views, timing validation and
 //! clustering statistics.
 
-use cells::{LatchConfig, ProposedLatch};
+use cells::{LatchConfig, NvWord, WordParams};
 use merge::{MergeOptions, TimingModel};
 use mtj::ThermalModel;
 use netlist::{benchmarks, CellLibrary};
@@ -22,16 +22,16 @@ fn latch_works_at_85_celsius() {
         mtj: hot_mtj,
         ..LatchConfig::default()
     };
-    let latch = ProposedLatch::new(config);
+    let latch = NvWord::new(WordParams::new(2), config);
 
     let store = latch
-        .simulate_store([true, false], [false, true])
+        .simulate_store(&[true, false], &[false, true])
         .expect("hot store");
     assert_eq!(store.stored, [true, false]);
     // Hot devices switch *faster* (lower Ic).
     assert!(store.latency.nano_seconds() < 2.5);
 
-    let restore = latch.simulate_restore([true, false]).expect("hot restore");
+    let restore = latch.simulate_restore(&[true, false]).expect("hot restore");
     assert_eq!(restore.bits, [true, false]);
 }
 
@@ -130,8 +130,8 @@ fn deck_round_trip_preserves_simulation_results() {
 #[test]
 fn latch_restore_exports_to_vcd() {
     use spice::vcd;
-    let latch = ProposedLatch::new(LatchConfig::default());
-    let (result, _) = latch.restore_traces([true, false]).expect("traces");
+    let latch = NvWord::new(WordParams::new(2), LatchConfig::default());
+    let (result, _) = latch.restore_traces(&[true, false]).expect("traces");
     let text = vcd::export(
         &result,
         &vcd::VcdOptions {
@@ -165,9 +165,9 @@ fn lef_library_matches_layout_geometry() {
 /// empty event list is a strong statement).
 #[test]
 fn restores_never_disturb_the_stored_state() {
-    let latch = ProposedLatch::new(LatchConfig::default());
+    let latch = NvWord::new(WordParams::new(2), LatchConfig::default());
     for pattern in [[true, false], [false, true]] {
-        let (result, _) = latch.restore_traces(pattern).expect("traces");
+        let (result, _) = latch.restore_traces(&pattern).expect("traces");
         assert!(
             result.mtj_events().is_empty(),
             "read disturb during restore of {pattern:?}: {:?}",
@@ -186,9 +186,9 @@ fn store_pulse_margins() {
 
     // Deterministic: worst-corner store completes inside the pulse.
     let config = LatchConfig::default().at_corner(Corner::slow());
-    let latch = ProposedLatch::new(config.clone());
+    let latch = NvWord::new(WordParams::new(2), config.clone());
     let out = latch
-        .simulate_store([true, false], [false, true])
+        .simulate_store(&[true, false], &[false, true])
         .expect("worst-corner store");
     assert!(out.latency < config.timing.write_pulse);
 

@@ -16,7 +16,7 @@
 //! NVFF_UPDATE_GOLDENS=1 cargo test --test goldens
 //! ```
 
-use cells::{LatchConfig, ProposedLatch};
+use cells::{LatchConfig, NvWord, WordParams};
 use spice::{SolverKind, StepControl};
 use telemetry::JsonValue;
 
@@ -58,15 +58,15 @@ fn sample(result: &spice::TransientResult, stop: f64) -> Waveforms {
 /// Runs one Fig. 6 workload under `config` and returns its sampled
 /// waveforms.
 fn run_workload(name: &str, config: LatchConfig) -> Waveforms {
-    let latch = ProposedLatch::new(config);
+    let latch = NvWord::new(WordParams::new(2), config);
     match name {
         "proposed_restore_10" => {
-            let (result, controls) = latch.restore_traces([true, false]).expect("restore");
-            sample(&result, controls.total.seconds())
+            let (result, controls) = latch.restore_traces(&[true, false]).expect("restore");
+            sample(&result, controls.total().seconds())
         }
         "proposed_store_01" => {
             let (result, controls) = latch
-                .store_traces([false, true], [true, false])
+                .store_traces(&[false, true], &[true, false])
                 .expect("store");
             sample(&result, controls.total.seconds())
         }

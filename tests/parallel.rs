@@ -227,7 +227,7 @@ fn interrupted_tail_surface_resumes_bit_identically() {
     let policy = sweep::CheckpointPolicy {
         path: path.clone(),
         every: 1,
-        fingerprint: rare::surface_fingerprint(&axes, &opts),
+        fingerprint: rare::surface_fingerprint(&nominal, &variation, &thermal, drive, &axes, &opts),
     };
 
     let full = rare::tail_surface(
