@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         exercise_subckt(&word)?;
         points.push(FamilyPoint {
             bits,
-            area_um2: layout::cells::word_area(bits, &rules).square_micro_meters(),
+            area_um2: nvff::architecture::word_area(bits, &rules).square_micro_meters(),
             total_transistors: word.total_transistors(),
             metrics,
         });

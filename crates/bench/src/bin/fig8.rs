@@ -3,6 +3,7 @@
 //! as SVG files into `target/figures/`.
 
 use layout::{cells, svg, DesignRules};
+use nvff::architecture::{standard_pair_area, word_area, word_layout};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rules = DesignRules::n40();
@@ -11,8 +12,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("FIG 8: NV COMPONENT LAYOUTS (12-track cells, up to M2)\n");
     for (layout, paper_area) in [
-        (cells::proposed_2bit_layout(&rules), 3.696),
-        (cells::standard_1bit_layout(&rules), 5.635 / 2.0),
+        (word_layout(2, &rules), 3.696),
+        (word_layout(1, &rules), 5.635 / 2.0),
     ] {
         let violations = layout.check();
         assert!(violations.is_empty(), "DRC: {violations:?}");
@@ -32,8 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let pair = cells::standard_pair_layout_area(&rules);
-    let prop = cells::proposed_2bit_layout(&rules).area();
+    let pair = standard_pair_area(&rules);
+    let prop = word_area(2, &rules);
     println!(
         "\ntwo 1-bit components (with spacing): {:.3} µm² (paper 5.635)",
         pair.square_micro_meters()

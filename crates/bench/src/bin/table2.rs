@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use cells::{CellMetrics, Corner, LatchComparison, LatchConfig};
 use layout::DesignRules;
-use nvff::paper;
+use nvff::{architecture, paper};
 use nvff_bench::{compare_line, push_parallel_summary, push_solver_stats};
 use telemetry::Section;
 
@@ -126,20 +126,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Transistors and area are corner-independent.
     let rules = DesignRules::n40();
-    let std_area = layout::cells::standard_pair_layout_area(&rules);
-    let prop_area = layout::cells::proposed_2bit_layout(&rules).area();
+    let std_area = architecture::standard_pair_area(&rules);
+    let prop_area = architecture::word_area(2, &rules);
+    let transistors = |m: &CellMetrics| m.read_transistors as f64;
     println!("\n# of transistors (read path)");
     println!(
         "{}",
         compare_line(
             "  standard pair",
-            22.0,
+            comparison.standard_envelope(transistors).typical,
             published.standard_transistors as f64
         )
     );
     println!(
         "{}",
-        compare_line("  proposed", 16.0, published.proposed_transistors as f64)
+        compare_line(
+            "  proposed",
+            comparison.proposed_envelope(transistors).typical,
+            published.proposed_transistors as f64
+        )
     );
     println!("\nArea [µm²]");
     println!(

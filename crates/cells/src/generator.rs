@@ -1074,6 +1074,15 @@ pub fn word_subckt(
     Ok(sub)
 }
 
+/// `true` for a read-path transistor of a generated word: every MOSFET
+/// but the write drivers, whose instances are all named `I…` (Table II
+/// counts the read path only). [`NvWord::read_path_transistors`] counts
+/// these; the layout flow lays out exactly these.
+#[must_use]
+pub fn is_read_path_transistor(device: &spice::Device) -> bool {
+    device.is_transistor() && !device.name().starts_with('I')
+}
+
 /// Characterization harness for any [`WordParams`] point — the crate's
 /// one cell harness.
 ///
@@ -1203,7 +1212,7 @@ impl NvWord {
         self.reference_circuit()
             .devices()
             .iter()
-            .filter(|d| d.is_transistor() && !d.name().starts_with('I'))
+            .filter(|d| is_read_path_transistor(d))
             .count()
     }
 

@@ -51,8 +51,8 @@ impl SystemCosts {
         let std_metrics = cells::metrics::characterize_standard_pair(&config)?;
         let prop_metrics = cells::metrics::characterize_proposed(&config)?;
         Ok(Self {
-            area_1bit: layout::cells::standard_1bit_layout(&rules).area(),
-            area_2bit: layout::cells::proposed_2bit_layout(&rules).area(),
+            area_1bit: crate::architecture::word_area(1, &rules),
+            area_2bit: crate::architecture::word_area(2, &rules),
             energy_1bit: std_metrics.read_energy * 0.5,
             energy_2bit: prop_metrics.read_energy,
         })

@@ -299,28 +299,8 @@ impl CellLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::fixtures::inverter as inverter_spec;
     use crate::spec::{MtjSpec, TransistorSpec};
-
-    fn inverter_spec() -> CellSpec {
-        let mut spec = CellSpec::new("inv");
-        spec.transistors.push(TransistorSpec::new(
-            "MP",
-            Row::P,
-            "a",
-            "vdd",
-            "y",
-            Length::from_nano_meters(400.0),
-        ));
-        spec.transistors.push(TransistorSpec::new(
-            "MN",
-            Row::N,
-            "a",
-            "gnd",
-            "y",
-            Length::from_nano_meters(200.0),
-        ));
-        spec
-    }
 
     #[test]
     fn inverter_is_one_column() {

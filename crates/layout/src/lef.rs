@@ -67,13 +67,18 @@ impl LefPin {
 /// # Examples
 ///
 /// ```
-/// use layout::{DesignRules, cells, lef};
+/// use layout::{lef, CellLayout, CellSpec, DesignRules, Row, TransistorSpec};
+/// use units::Length;
 ///
-/// let layout = cells::proposed_2bit_layout(&DesignRules::n40());
-/// let pins = [lef::LefPin::input("D0"), lef::LefPin::output("Q0")];
+/// let w = Length::from_nano_meters(400.0);
+/// let mut inv = CellSpec::new("INV");
+/// inv.transistors.push(TransistorSpec::new("MP", Row::P, "a", "vdd", "y", w));
+/// inv.transistors.push(TransistorSpec::new("MN", Row::N, "a", "gnd", "y", w));
+/// let layout = CellLayout::synthesize(&inv, &DesignRules::n40());
+/// let pins = [lef::LefPin::input("A"), lef::LefPin::output("Y")];
 /// let text = lef::write_macro(&layout, "CoreSite", &pins);
-/// assert!(text.contains("MACRO NVLATCH2"));
-/// assert!(text.contains("PIN D0"));
+/// assert!(text.contains("MACRO INV"));
+/// assert!(text.contains("PIN A"));
 /// ```
 #[must_use]
 pub fn write_macro(layout: &CellLayout, site: &str, pins: &[LefPin]) -> String {
@@ -138,70 +143,41 @@ pub fn write_macro(layout: &CellLayout, site: &str, pins: &[LefPin]) -> String {
     out
 }
 
-/// Writes a small LEF library: header, the core site, and the two NV
-/// component macros with their natural pin lists.
-#[must_use]
-pub fn write_nv_library(rules: &crate::rules::DesignRules) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "VERSION 5.8 ;");
-    let _ = writeln!(out, "BUSBITCHARS \"[]\" ;");
-    let _ = writeln!(out, "DIVIDERCHAR \"/\" ;");
-    let _ = writeln!(
-        out,
-        "SITE CoreSite\n  CLASS CORE ;\n  SIZE {:.4} BY {:.4} ;\nEND CoreSite",
-        rules.poly_pitch.micro_meters(),
-        rules.cell_height().micro_meters()
-    );
-
-    let single = crate::cells::standard_1bit_layout(rules);
-    let pins_1 = [
-        LefPin::input("D"),
-        LefPin::output("Q"),
-        LefPin::input("PD"),
-        LefPin::input("CLK"),
-    ];
-    out.push_str(&write_macro(&single, "CoreSite", &pins_1));
-
-    let shared = crate::cells::proposed_2bit_layout(rules);
-    let pins_2 = [
-        LefPin::input("D0"),
-        LefPin::input("D1"),
-        LefPin::output("Q0"),
-        LefPin::output("Q1"),
-        LefPin::input("PD"),
-        LefPin::input("CLK"),
-    ];
-    out.push_str(&write_macro(&shared, "CoreSite", &pins_2));
-    let _ = writeln!(out, "END LIBRARY");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cells;
     use crate::rules::DesignRules;
+    use crate::spec::{fixtures, Row, TransistorSpec};
+    use units::Length;
 
     #[test]
     fn macro_has_size_site_and_rails() {
-        let layout = cells::standard_1bit_layout(&DesignRules::n40());
-        let text = write_macro(&layout, "CoreSite", &[LefPin::input("D")]);
-        assert!(text.contains("MACRO NVLATCH1"));
-        assert!(text.contains("SIZE 1.6750 BY 1.6800 ;"));
+        let layout = CellLayout::synthesize(&fixtures::inverter(), &DesignRules::n40());
+        let text = write_macro(&layout, "CoreSite", &[LefPin::input("A")]);
+        assert!(text.contains("MACRO inv"));
+        assert!(text.contains("SIZE 0.2400 BY 1.6800 ;"));
         assert!(text.contains("SITE CoreSite ;"));
         assert!(text.contains("PIN VDD"));
         assert!(text.contains("USE GROUND ;"));
-        assert!(text.contains("END NVLATCH1"));
+        assert!(text.contains("END inv"));
     }
 
     #[test]
     fn pins_land_inside_the_cell() {
-        let layout = cells::proposed_2bit_layout(&DesignRules::n40());
-        let pins = [
-            LefPin::input("D0"),
-            LefPin::input("D1"),
-            LefPin::output("Q0"),
-        ];
+        // Six unshared devices widen the inverter to seven columns.
+        let mut spec = fixtures::inverter();
+        for k in 0..6 {
+            spec.transistors.push(TransistorSpec::new(
+                &format!("MF{k}"),
+                Row::P,
+                &format!("g{k}"),
+                &format!("s{k}"),
+                &format!("d{k}"),
+                Length::from_nano_meters(400.0),
+            ));
+        }
+        let layout = CellLayout::synthesize(&spec, &DesignRules::n40());
+        let pins = [LefPin::input("A"), LefPin::input("B"), LefPin::output("Y")];
         let text = write_macro(&layout, "CoreSite", &pins);
         let w = layout.width().micro_meters();
         for line in text.lines().filter(|l| l.trim_start().starts_with("RECT")) {
@@ -212,17 +188,6 @@ mod tests {
             assert_eq!(nums.len(), 4, "{line}");
             assert!(nums[0] >= -1e-9 && nums[2] <= w + 1e-9, "{line}");
         }
-    }
-
-    #[test]
-    fn library_contains_both_macros_and_the_site() {
-        let text = write_nv_library(&DesignRules::n40());
-        assert!(text.starts_with("VERSION 5.8 ;"));
-        assert!(text.contains("SITE CoreSite"));
-        assert!(text.contains("MACRO NVLATCH1"));
-        assert!(text.contains("MACRO NVLATCH2"));
-        assert!(text.contains("PIN D1"));
-        assert!(text.trim_end().ends_with("END LIBRARY"));
     }
 
     #[test]

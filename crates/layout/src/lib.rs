@@ -15,18 +15,27 @@
 //!    rectangles per layer, the cell outline, and therefore the area;
 //! 4. [`svg`] renders the result (the repository's Fig. 8 equivalent).
 //!
-//! [`cells`] holds the concrete specs of the two latch designs and the
-//! paper's published areas for comparison.
+//! The crate knows nothing of the latch circuits themselves: a cell's
+//! spec is read off the circuit generator's netlist
+//! (`nvff::architecture::word_spec`), so the cell that is simulated is
+//! the cell that is laid out. [`cells`] holds the paper's published
+//! areas and the edge-margin calibration that anchors the generator to
+//! them.
 //!
 //! # Examples
 //!
 //! ```
-//! use layout::{DesignRules, cells};
+//! use layout::{CellLayout, CellSpec, DesignRules, Row, TransistorSpec};
+//! use units::Length;
 //!
+//! let w = Length::from_nano_meters(400.0);
+//! let mut inv = CellSpec::new("INV");
+//! inv.transistors.push(TransistorSpec::new("MP", Row::P, "a", "vdd", "y", w));
+//! inv.transistors.push(TransistorSpec::new("MN", Row::N, "a", "gnd", "y", w));
 //! let rules = DesignRules::n40();
-//! let two_standard = cells::standard_pair_layout_area(&rules);
-//! let proposed = cells::proposed_2bit_layout(&rules).area();
-//! assert!(proposed < two_standard); // the paper's headline area claim
+//! let layout = CellLayout::synthesize(&inv, &rules);
+//! assert_eq!(layout.width(), rules.cell_width(1)); // one shared column
+//! assert!(layout.check().is_empty());
 //! ```
 
 #![forbid(unsafe_code)]

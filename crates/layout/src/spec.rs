@@ -101,12 +101,13 @@ impl CellSpec {
     }
 }
 
+/// Hand-built specs for the crate's unit tests.
 #[cfg(test)]
-mod tests {
+pub(crate) mod fixtures {
     use super::*;
 
-    #[test]
-    fn rows_filter_by_polarity() {
+    /// A static CMOS inverter: one device per row.
+    pub(crate) fn inverter() -> CellSpec {
         let mut spec = CellSpec::new("inv");
         spec.transistors.push(TransistorSpec::new(
             "MP",
@@ -124,6 +125,17 @@ mod tests {
             "y",
             Length::from_nano_meters(200.0),
         ));
+        spec
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rows_filter_by_polarity() {
+        let spec = fixtures::inverter();
         assert_eq!(spec.transistor_count(), 2);
         assert_eq!(spec.row(Row::P).len(), 1);
         assert_eq!(spec.row(Row::N)[0].name, "MN");

@@ -25,12 +25,17 @@ fn style(layer: Layer) -> (&'static str, f64) {
 /// # Examples
 ///
 /// ```
-/// use layout::{DesignRules, cells, svg};
+/// use layout::{svg, CellLayout, CellSpec, DesignRules, Row, TransistorSpec};
+/// use units::Length;
 ///
-/// let layout = cells::proposed_2bit_layout(&DesignRules::n40());
+/// let w = Length::from_nano_meters(400.0);
+/// let mut inv = CellSpec::new("INV");
+/// inv.transistors.push(TransistorSpec::new("MP", Row::P, "a", "vdd", "y", w));
+/// inv.transistors.push(TransistorSpec::new("MN", Row::N, "a", "gnd", "y", w));
+/// let layout = CellLayout::synthesize(&inv, &DesignRules::n40());
 /// let drawing = svg::render(&layout, 200.0);
 /// assert!(drawing.starts_with("<svg"));
-/// assert!(drawing.contains("NVLATCH2"));
+/// assert!(drawing.contains("INV"));
 /// ```
 #[must_use]
 pub fn render(layout: &CellLayout, pixels_per_micron: f64) -> String {
@@ -81,25 +86,25 @@ pub fn render(layout: &CellLayout, pixels_per_micron: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cells;
     use crate::rules::DesignRules;
+    use crate::spec::{fixtures, MtjSpec};
 
     #[test]
     fn render_contains_all_layers() {
-        let layout = cells::proposed_2bit_layout(&DesignRules::n40());
+        let mut spec = fixtures::inverter();
+        spec.mtjs.push(MtjSpec::new("X0", "y", "m"));
+        let layout = CellLayout::synthesize(&spec, &DesignRules::n40());
         let svg = render(&layout, 100.0);
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));
-        // Four MTJ pads → at least four orange rectangles.
-        assert!(svg.matches("#f2a93b").count() >= 4);
-        // Poly columns present.
-        assert!(svg.contains("#d84a3a"));
+        assert!(svg.contains("#f2a93b")); // the MTJ pad
+        assert!(svg.contains("#d84a3a")); // poly
         assert!(svg.contains("µm²"));
     }
 
     #[test]
     fn rect_count_matches_geometry() {
-        let layout = cells::standard_1bit_layout(&DesignRules::n40());
+        let layout = CellLayout::synthesize(&fixtures::inverter(), &DesignRules::n40());
         let svg = render(&layout, 100.0);
         let rect_count = svg.matches("<rect").count();
         assert_eq!(rect_count, layout.rects().len());

@@ -13,8 +13,9 @@
 //!    degree-aware variant that prefers isolated flip-flops first and
 //!    recovers more pairs in dense clusters;
 //! 3. [`apply`](transform::apply) rewrites the placed design, replacing
-//!    each merged pair with one `DFF2`+`NVLATCH2` site and attaching
-//!    `NVLATCH1` to the rest.
+//!    each merged pair with one `NVDFF2` site (backed by the 2-bit
+//!    `NVWORD2` component) and the rest with `NVDFF1` (backed by
+//!    `NVWORD1`).
 //!
 //! The resulting [`MergePlan`] carries the counts Table III consumes.
 //!

@@ -99,100 +99,6 @@ pub fn run_parallel<T: Send>(
     (outcome.results, outcome.summary)
 }
 
-/// The lane-batched form of [`run`]: draws arrive at the metric in
-/// contiguous blocks of up to `lanes` samples, for metrics that
-/// evaluate a whole block in lockstep (SIMD structure-of-arrays
-/// kernels).
-///
-/// Sample `i` is drawn exactly as [`run`] draws it — a private `StdRng`
-/// seeded by [`sweep::point_seed`]`(seed, i)` — so for a metric that
-/// maps each sample independently the flattened results are
-/// **bit-identical** to `run(...)` for every `lanes` value. The metric
-/// must return one value per sample, in block order.
-///
-/// # Panics
-///
-/// Panics if the metric returns a value count different from its
-/// block's length.
-///
-/// # Examples
-///
-/// ```
-/// use mtj::{MtjParams, VariationModel, montecarlo};
-///
-/// let nominal = MtjParams::date2018();
-/// let v = VariationModel::default();
-/// let pointwise = montecarlo::run(&nominal, &v, 64, 7, |s| s.tmr_multiplier);
-/// let blocked = montecarlo::run_blocked(&nominal, &v, 64, 7, 8, |block| {
-///     block.iter().map(|s| s.tmr_multiplier).collect()
-/// });
-/// assert_eq!(blocked, pointwise);
-/// ```
-pub fn run_blocked<T>(
-    nominal: &MtjParams,
-    variation: &VariationModel,
-    n: usize,
-    seed: u64,
-    lanes: usize,
-    mut metric: impl FnMut(&[MtjSample]) -> Vec<T>,
-) -> Vec<T> {
-    let lanes = lanes.max(1);
-    let mut out = Vec::with_capacity(n);
-    let mut block = Vec::with_capacity(lanes);
-    for start in (0..n).step_by(lanes) {
-        block.clear();
-        for i in start..(start + lanes).min(n) {
-            let mut rng = StdRng::seed_from_u64(sweep::point_seed(seed, i as u64));
-            block.push(variation.sample(nominal, &mut rng));
-        }
-        let results = metric(&block);
-        assert_eq!(
-            results.len(),
-            block.len(),
-            "blocked metric returned {} values for a block of {}",
-            results.len(),
-            block.len()
-        );
-        out.extend(results);
-    }
-    out
-}
-
-/// The parallel form of [`run_blocked`]: lane-sized blocks fanned out
-/// over a [`sweep`] worker pool (lanes × workers composed via
-/// [`sweep::run_blocked`]).
-///
-/// Per-sample seeds are identical to [`run`]'s, so for an
-/// independent-per-sample metric the results are bit-identical to the
-/// serial pointwise run for every `jobs` **and** `lanes` combination.
-pub fn run_parallel_blocked<T: Send>(
-    nominal: &MtjParams,
-    variation: &VariationModel,
-    n: usize,
-    seed: u64,
-    jobs: usize,
-    lanes: usize,
-    metric: impl Fn(&[MtjSample]) -> Vec<T> + Sync,
-) -> (Vec<T>, sweep::RunSummary) {
-    let grid = sweep::Grid::samples(n, seed);
-    let opts = sweep::SweepOptions {
-        jobs,
-        span_label: "mtj.mc_block",
-        ..sweep::SweepOptions::default()
-    };
-    let outcome = sweep::run_blocked(&grid, &opts, lanes, |ctxs, _| {
-        let samples: Vec<MtjSample> = ctxs
-            .iter()
-            .map(|ctx| {
-                let mut rng = StdRng::seed_from_u64(ctx.seed);
-                variation.sample(nominal, &mut rng)
-            })
-            .collect();
-        metric(&samples)
-    });
-    (outcome.results, outcome.summary)
-}
-
 /// Summary statistics over a slice of metric values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Statistics {
@@ -331,43 +237,6 @@ mod tests {
             assert_eq!(summary.points, 300);
             assert_eq!(summary.resumed, 0);
         }
-    }
-
-    #[test]
-    fn blocked_runs_are_bit_identical_to_pointwise() {
-        let nominal = MtjParams::date2018();
-        let v = VariationModel::default();
-        let pointwise = run(&nominal, &v, 100, 19, |s| {
-            s.params.resistance_parallel().ohms()
-        });
-        for lanes in [1, 3, 8, 128] {
-            let blocked = run_blocked(&nominal, &v, 100, 19, lanes, |block| {
-                block
-                    .iter()
-                    .map(|s| s.params.resistance_parallel().ohms())
-                    .collect()
-            });
-            assert_eq!(blocked, pointwise, "lanes = {lanes}");
-            for jobs in [1, 4] {
-                let (parallel, summary) =
-                    run_parallel_blocked(&nominal, &v, 100, 19, jobs, lanes, |block| {
-                        block
-                            .iter()
-                            .map(|s| s.params.resistance_parallel().ohms())
-                            .collect()
-                    });
-                assert_eq!(parallel, pointwise, "lanes = {lanes}, jobs = {jobs}");
-                assert_eq!(summary.points, 100);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "blocked metric returned")]
-    fn blocked_metric_must_cover_its_block() {
-        let nominal = MtjParams::date2018();
-        let v = VariationModel::default();
-        let _ = run_blocked(&nominal, &v, 8, 1, 4, |_| Vec::<f64>::new());
     }
 
     #[test]

@@ -40,6 +40,15 @@ echo "==> cargo doc (workspace, rustdoc warnings are errors)"
 # A renamed or deleted type must not leave an intra-doc link dangling.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 
+echo "==> cargo check (perfbench, locked)"
+# perfbench/ is a Cargo workspace of its own that builds the library
+# crates by path. Checking it against its committed lock file fails when
+# a change breaks an API the benchmark uses, or changes the dependency
+# list of a crate it builds. Its own target dir keeps the lock-file
+# workspace's artifacts apart from the main build's.
+CARGO_TARGET_DIR=target/perfbench-check \
+    cargo check --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test (workspace)"
 # Property suites run on a pinned stream: a CI failure log then names
 # the exact case stream, reproducible locally with the same seed.

@@ -150,13 +150,11 @@ fn latch_restore_exports_to_vcd() {
 /// placer-threshold calibration depends on.
 #[test]
 fn lef_library_matches_layout_geometry() {
-    use layout::{lef, DesignRules};
-    let rules = DesignRules::n40();
-    let text = lef::write_nv_library(&rules);
-    assert!(text.contains("SIZE 1.6750 BY 1.6800 ;")); // NVLATCH1
-    let w2 = layout::cells::proposed_2bit_layout(&rules)
-        .width()
-        .micro_meters();
+    use nvff::architecture::{word_layout, write_nv_library};
+    let rules = layout::DesignRules::n40();
+    let text = write_nv_library(&rules);
+    assert!(text.contains("SIZE 1.6750 BY 1.6800 ;")); // NVWORD1
+    let w2 = word_layout(2, &rules).width().micro_meters();
     assert!(text.contains(&format!("SIZE {w2:.4} BY 1.6800 ;")));
 }
 

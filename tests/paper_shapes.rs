@@ -80,8 +80,8 @@ fn expectation_4_transistors_and_area() {
     assert_eq!(prop_m.read_transistors, 16);
 
     let rules = DesignRules::n40();
-    let pair = layout::cells::standard_pair_layout_area(&rules);
-    let prop = layout::cells::proposed_2bit_layout(&rules).area();
+    let pair = nvff::architecture::standard_pair_area(&rules);
+    let prop = nvff::architecture::word_area(2, &rules);
     let saving = 1.0 - prop / pair;
     assert!((0.15..0.50).contains(&saving), "area saving = {saving:.3}");
 }
