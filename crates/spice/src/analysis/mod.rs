@@ -1,7 +1,7 @@
 //! Operating-point, DC-sweep and transient analyses.
 //!
 //! All analyses share one assembly routine that stamps the linearized
-//! device equations into a dense MNA system `A·x = z`, where `x` holds the
+//! device equations into the MNA system `A·x = z`, where `x` holds the
 //! non-ground node voltages followed by one branch current per voltage
 //! source. Nonlinear devices (MOSFETs, bias-dependent MTJs) are iterated
 //! with Newton–Raphson; robustness comes from three standard measures:
@@ -22,9 +22,10 @@
 //!
 //! The engine is organised around a reusable [`SimulationSession`]:
 //!
-//! * [`assembly`](self) — each device is resolved once into a stamp with
-//!   pre-computed unknown indices; a `StampPlan` collects them along
-//!   with the flattened capacitor list, MTJ slots and branch table;
+//! * [`assembly`](self) — a `StampPlan` resolves every matrix add of
+//!   every device, capacitor companion and gmin shunt once, to a slot in
+//!   the LU engine's storage, in one device-ordered stamp table; it also
+//!   holds the flattened capacitor list, MTJ terminals and branch table;
 //! * `newton` — the Newton–Raphson core, gmin ladder and DC sweep,
 //!   iterating in place on workspace buffers;
 //! * `transient` — the time-stepping loop, with capacitor histories
@@ -233,8 +234,8 @@ impl OpResult {
 /// [`SpiceError::NonConvergence`] if Newton fails even at the strongest
 /// shunt.
 pub fn op(ckt: &mut Circuit) -> Result<OpResult, SpiceError> {
-    let plan = StampPlan::build(ckt);
-    let mut ws = Workspace::for_plan(&plan, SolverKind::default());
+    let plan = StampPlan::build(ckt, SolverKind::default());
+    let mut ws = Workspace::for_plan(&plan);
     newton::op_core(&plan, ckt, &mut ws)
 }
 
@@ -255,8 +256,8 @@ pub fn dc_sweep(
     source: &str,
     values: &[f64],
 ) -> Result<Vec<OpResult>, SpiceError> {
-    let plan = StampPlan::build(ckt);
-    let mut ws = Workspace::for_plan(&plan, SolverKind::default());
+    let plan = StampPlan::build(ckt, SolverKind::default());
+    let mut ws = Workspace::for_plan(&plan);
     newton::run_dc_sweep(&plan, ckt, &mut ws, source, values)
 }
 
@@ -294,21 +295,21 @@ pub fn transient_with_options(
     step: Time,
     options: TransientOptions,
 ) -> Result<TransientResult, SpiceError> {
-    let plan = StampPlan::build(ckt);
-    let mut ws = Workspace::for_plan(&plan, SolverKind::default());
+    let plan = StampPlan::build(ckt, SolverKind::default());
+    let mut ws = Workspace::for_plan(&plan);
     transient::run(&plan, ckt, &mut ws, stop, step, options)
 }
 
 /// Structural nonzero pattern of the MNA matrix this circuit assembles,
-/// as frozen by a stamp-plan probe pass (the same pattern a
-/// [`SimulationSession`] solves against).
+/// as frozen from a stamp plan's static enumeration of its matrix adds
+/// (the same pattern a sparse [`SimulationSession`] solves against).
 ///
 /// Exposed for structural equivalence checks — e.g. pinning that a
 /// generator-built cell stamps the identical matrix as its hand-built
 /// ancestor — without running an analysis.
 #[must_use]
 pub fn matrix_pattern(ckt: &Circuit) -> crate::linalg::SparsePattern {
-    StampPlan::build(ckt).sparse
+    StampPlan::build(ckt, SolverKind::Sparse).sparse
 }
 
 /// Returns the MTJ states currently held by a circuit, in device order.
@@ -1008,6 +1009,94 @@ mod tests {
         assert_eq!(ckt.devices().len(), 4);
     }
 
+    /// Edits through `devices_mut` that rewire a terminal or swap a
+    /// device's kind keep the device and unknown counts. The session
+    /// must still rebuild its plan, or the next analysis stamps into
+    /// the old slots.
+    #[test]
+    fn session_rebuilds_after_a_rewire_at_equal_counts() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let mid = ckt.node("mid");
+        let b = ckt.node("b");
+        ckt.add_voltage_source("V1", a, Circuit::GROUND, SourceWaveform::dc(volts(1.0)))
+            .expect("V1");
+        let kohm = Resistance::from_kilo_ohms(1.0);
+        ckt.add_resistor("R1", a, mid, kohm).expect("R1");
+        ckt.add_resistor("R2", mid, Circuit::GROUND, kohm)
+            .expect("R2");
+        ckt.add_resistor("R3", mid, b, kohm).expect("R3");
+        ckt.add_resistor("R4", b, Circuit::GROUND, kohm)
+            .expect("R4");
+        let mut session = SimulationSession::new(ckt);
+        let before = session.op().expect("op");
+
+        // Rewire R2's grounded end to `b`: same devices, same unknowns.
+        match &mut session.circuit_mut().devices_mut()[2] {
+            Device::Resistor { b: end, .. } => *end = b,
+            other => panic!("fixture changed: {other:?}"),
+        }
+        let rewired = session.op().expect("op after rewire");
+        let fresh = SimulationSession::new(session.circuit().clone())
+            .op()
+            .expect("fresh op");
+        assert_eq!(rewired, fresh);
+        assert!((rewired.voltage(mid) - before.voltage(mid)).abs() > 0.1);
+
+        // Swap R4 for a capacitor on the same nodes: open at DC.
+        session.circuit_mut().devices_mut()[4] = Device::Capacitor {
+            name: "C4".into(),
+            a: b,
+            b: Circuit::GROUND,
+            farads: 1e-15,
+        };
+        let swapped = session.op().expect("op after kind swap");
+        let fresh = SimulationSession::new(session.circuit().clone())
+            .op()
+            .expect("fresh op");
+        assert_eq!(swapped, fresh);
+        assert!((swapped.voltage(a) - swapped.voltage(b)).abs() < 1e-6);
+    }
+
+    /// Capacitances are flattened into the plan's companions, so an
+    /// edit of one through `devices_mut` must rebuild the plan too.
+    #[test]
+    fn session_rebuilds_after_a_capacitance_edit() {
+        let ps = Time::from_pico_seconds;
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        let step =
+            SourceWaveform::pulse(volts(0.0), volts(1.0), ps(1.0), ps(1.0), ps(1.0), ps(1e4));
+        ckt.add_voltage_source("V1", a, Circuit::GROUND, step)
+            .expect("V1");
+        ckt.add_resistor("R1", a, b, Resistance::from_kilo_ohms(1.0))
+            .expect("R1");
+        ckt.add_capacitor(
+            "C1",
+            b,
+            Circuit::GROUND,
+            Capacitance::from_femto_farads(10.0),
+        )
+        .expect("C1");
+        let mut session = SimulationSession::new(ckt);
+        let before = session.transient(ps(50.0), ps(1.0)).expect("transient");
+        match &mut session.circuit_mut().devices_mut()[2] {
+            Device::Capacitor { farads, .. } => *farads = 100e-15,
+            other => panic!("fixture changed: {other:?}"),
+        }
+        let edited = session.transient(ps(50.0), ps(1.0)).expect("after edit");
+        let fresh = SimulationSession::new(session.circuit().clone())
+            .transient(ps(50.0), ps(1.0))
+            .expect("fresh");
+        let last = |r: &TransientResult| *r.node("b").expect("b").values().last().expect("samples");
+        assert_eq!(last(&edited), last(&fresh));
+        assert!(
+            last(&before) - last(&edited) > 0.1,
+            "10x the RC settles slower"
+        );
+    }
+
     #[test]
     fn reference_engine_agrees_with_session_engine() {
         let build = || {
@@ -1065,15 +1154,15 @@ mod tests {
     fn source_stepping_reaches_the_gmin_ladder_solution() {
         for solver in [SolverKind::Sparse, SolverKind::Dense] {
             let ckt = inverter_fixture();
-            let plan = StampPlan::build(&ckt);
+            let plan = StampPlan::build(&ckt, solver);
 
-            let mut ws = Workspace::for_plan(&plan, solver);
+            let mut ws = Workspace::for_plan(&plan);
             let (mut bufs, _) = ws.split();
             newton::solve_op_from_zero(&plan, &ckt, &mut bufs, 0.0).expect("gmin ladder");
             let via_gmin = bufs.x.clone();
             assert_eq!(bufs.stats.source_steps, 0, "gmin path never ramps sources");
 
-            let mut ws = Workspace::for_plan(&plan, solver);
+            let mut ws = Workspace::for_plan(&plan);
             let (mut bufs, _) = ws.split();
             newton::solve_op_source_stepped(&plan, &ckt, &mut bufs, 0.0).expect("source stepping");
             // A clean geometric 1/64 -> 1 ramp is 7 rungs.

@@ -11,8 +11,9 @@ use crate::circuit::Circuit;
 use crate::device::Device;
 use crate::error::SpiceError;
 use crate::linalg::{DenseMatrix, LuScratch, SparseSolveOutcome, SymbolicLu};
+use crate::mosfet::MosfetOperatingPoint;
 
-use super::assembly::{assemble, Companions, EvalCtx, MatrixRef, StampPlan};
+use super::assembly::{assemble, evaluate_mosfets, Companions, EvalCtx, StampPlan};
 use super::session::{SolverStats, Workspace};
 use super::{OpResult, ABSTOL, GMIN_FLOOR, RELTOL, VNTOL, VSTEP_MAX};
 
@@ -30,6 +31,17 @@ pub(super) enum EngineBufs<'w> {
     },
 }
 
+impl EngineBufs<'_> {
+    /// The matrix storage the plan's stamp slots index: the dense
+    /// matrix's row-major entries, or the CSR values.
+    pub(super) fn values(&mut self) -> &mut [f64] {
+        match self {
+            EngineBufs::Dense { a, .. } => a.data_mut(),
+            EngineBufs::Sparse { values, .. } => values,
+        }
+    }
+}
+
 /// Mutable views over the workspace fields the Newton solver touches.
 ///
 /// Borrowed (rather than owning `&mut Workspace`) so the transient loop
@@ -37,6 +49,9 @@ pub(super) enum EngineBufs<'w> {
 /// [`Workspace::split`].
 pub(super) struct SolverBufs<'w> {
     pub engine: EngineBufs<'w>,
+    /// MOSFET operating points of the current iterate (assembly's
+    /// batched pre-pass).
+    pub mos_ops: &'w mut [MosfetOperatingPoint],
     pub z: &'w mut Vec<f64>,
     pub x: &'w mut Vec<f64>,
     pub x_new: &'w mut Vec<f64>,
@@ -96,13 +111,8 @@ pub(super) fn newton(
         bufs.stats.newton_iterations += 1;
         bufs.stats.lu_factorizations += 1;
         let lu_timer = tel.then(std::time::Instant::now);
-        let mut target = match &mut bufs.engine {
-            EngineBufs::Dense { a, .. } => MatrixRef::Dense(a),
-            EngineBufs::Sparse { values, .. } => MatrixRef::Sparse {
-                pattern: &plan.sparse,
-                values,
-            },
-        };
+        evaluate_mosfets(plan, ckt, bufs.x, bufs.mos_ops);
+        let evaluated = tel.then(std::time::Instant::now);
         assemble(
             plan,
             ckt,
@@ -110,7 +120,8 @@ pub(super) fn newton(
             ctx,
             gmin,
             companions,
-            &mut target,
+            bufs.mos_ops,
+            bufs.engine.values(),
             bufs.z,
         );
         let assembled = tel.then(std::time::Instant::now);
@@ -170,14 +181,7 @@ pub(super) fn newton(
             }
             return Err(SpiceError::SingularMatrix { analysis, time: t });
         }
-        if let (Some(start), Some(assembled)) = (lu_timer, assembled) {
-            // `lu_solve_s` spans both phases; the split histograms
-            // share its end point so they add up to it.
-            let end = std::time::Instant::now();
-            telemetry::histogram("spice.lu_solve_s", (end - start).as_secs_f64());
-            telemetry::histogram("spice.assemble_s", (assembled - start).as_secs_f64());
-            telemetry::histogram("spice.factor_solve_s", (end - assembled).as_secs_f64());
-        }
+        let solved_at = tel.then(std::time::Instant::now);
         let mut converged = true;
         let mut max_delta = 0.0_f64;
         for i in 0..n {
@@ -200,10 +204,23 @@ pub(super) fn newton(
             }
             bufs.x[i] += delta;
         }
-        if tel {
-            // Largest damped update this iteration — the Newton residual
-            // proxy the convergence test itself works from.
-            telemetry::histogram("spice.newton_delta", max_delta);
+        if let (Some(start), Some(evaluated), Some(assembled), Some(end)) =
+            (lu_timer, evaluated, assembled, solved_at)
+        {
+            // One registry lock for the iteration's records.
+            // `lu_solve_s` spans assembly and the solve; the split
+            // histograms share its end points so they add up to it.
+            // `assemble_s` includes the MOSFET pre-pass and
+            // `device_eval_s` is that pre-pass alone. `newton_delta` is
+            // the largest damped update, the Newton residual proxy the
+            // convergence test itself works from.
+            telemetry::histograms(&[
+                ("spice.lu_solve_s", (end - start).as_secs_f64()),
+                ("spice.device_eval_s", (evaluated - start).as_secs_f64()),
+                ("spice.assemble_s", (assembled - start).as_secs_f64()),
+                ("spice.factor_solve_s", (end - assembled).as_secs_f64()),
+                ("spice.newton_delta", max_delta),
+            ]);
         }
         if fl {
             telemetry::flight::record_always(

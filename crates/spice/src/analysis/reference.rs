@@ -33,12 +33,12 @@ use super::{
 /// Capacitor instance flattened for companion stamping (explicit caps
 /// plus MOSFET parasitics).
 #[derive(Debug, Clone)]
-struct CapInstance {
+pub(super) struct CapInstance {
     ia: Option<usize>,
     ib: Option<usize>,
     farads: f64,
-    v_prev: f64,
-    i_prev: f64,
+    pub(super) v_prev: f64,
+    pub(super) i_prev: f64,
 }
 
 /// Computes a node voltage from the unknown vector (`None` = ground).
@@ -47,7 +47,9 @@ fn vof(x: &[f64], idx: Option<usize>) -> f64 {
 }
 
 /// Stamps every device's linearized equation at iterate `x` and time `t`.
-fn assemble(
+/// Visible to the session assembler's tests, which hold it to this
+/// routine bit for bit.
+pub(super) fn assemble(
     ckt: &Circuit,
     x: &[f64],
     t: f64,
@@ -439,42 +441,11 @@ pub fn transient(ckt: &mut Circuit, stop: Time, step: Time) -> Result<TransientR
     transient_with_options(ckt, stop, step, TransientOptions::fixed())
 }
 
-/// Runs a transient analysis with the per-call engine.
-///
-/// Identical semantics to [`super::transient_with_options`], without
-/// workspace reuse: the capacitor companion list is cloned per step and
-/// every Newton solve allocates its own system.
-///
-/// # Errors
-///
-/// Same conditions as [`super::transient_with_options`].
-pub fn transient_with_options(
-    ckt: &mut Circuit,
-    stop: Time,
-    step: Time,
-    options: TransientOptions,
-) -> Result<TransientResult, SpiceError> {
-    let stop_s = stop.seconds();
-    let dt_nominal = step.seconds();
-    if stop_s <= 0.0 || dt_nominal <= 0.0 || stop_s.is_nan() || dt_nominal.is_nan() {
-        return Err(SpiceError::InvalidAnalysis {
-            reason: format!("stop ({stop}) and step ({step}) must be positive"),
-        });
-    }
-    if dt_nominal > stop_s {
-        return Err(SpiceError::InvalidAnalysis {
-            reason: format!("step ({step}) exceeds the analysis window ({stop})"),
-        });
-    }
-
-    // Initial state.
-    let mut x = match options.start {
-        StartCondition::OperatingPoint => op_unknowns(ckt, 0.0)?,
-        StartCondition::Zero => vec![0.0; ckt.unknown_count()],
-    };
-
-    // Flatten capacitors (explicit + MOSFET parasitics) with history.
-    let mut caps: Vec<CapInstance> = Vec::new();
+/// Flattens the capacitors (explicit caps, then each MOSFET's
+/// gate-source, gate-drain and junction parasitics, in device order)
+/// with zeroed histories.
+pub(super) fn flatten_caps(ckt: &Circuit) -> Vec<CapInstance> {
+    let mut caps = Vec::new();
     for dev in ckt.devices() {
         match dev {
             Device::Capacitor { a, b, farads, .. } => {
@@ -534,6 +505,45 @@ pub fn transient_with_options(
             _ => {}
         }
     }
+    caps
+}
+
+/// Runs a transient analysis with the per-call engine.
+///
+/// Identical semantics to [`super::transient_with_options`], without
+/// workspace reuse: the capacitor companion list is cloned per step and
+/// every Newton solve allocates its own system.
+///
+/// # Errors
+///
+/// Same conditions as [`super::transient_with_options`].
+pub fn transient_with_options(
+    ckt: &mut Circuit,
+    stop: Time,
+    step: Time,
+    options: TransientOptions,
+) -> Result<TransientResult, SpiceError> {
+    let stop_s = stop.seconds();
+    let dt_nominal = step.seconds();
+    if stop_s <= 0.0 || dt_nominal <= 0.0 || stop_s.is_nan() || dt_nominal.is_nan() {
+        return Err(SpiceError::InvalidAnalysis {
+            reason: format!("stop ({stop}) and step ({step}) must be positive"),
+        });
+    }
+    if dt_nominal > stop_s {
+        return Err(SpiceError::InvalidAnalysis {
+            reason: format!("step ({step}) exceeds the analysis window ({stop})"),
+        });
+    }
+
+    // Initial state.
+    let mut x = match options.start {
+        StartCondition::OperatingPoint => op_unknowns(ckt, 0.0)?,
+        StartCondition::Zero => vec![0.0; ckt.unknown_count()],
+    };
+
+    // Flatten capacitors (explicit + MOSFET parasitics) with history.
+    let mut caps = flatten_caps(ckt);
     for cap in &mut caps {
         cap.v_prev = vof(&x, cap.ia) - vof(&x, cap.ib);
     }

@@ -16,6 +16,7 @@ use units::Time;
 use crate::circuit::Circuit;
 use crate::error::SpiceError;
 use crate::linalg::{DenseMatrix, LuScratch, SymbolicLu};
+use crate::mosfet::MosfetOperatingPoint;
 use crate::result::TransientResult;
 
 use super::assembly::{CapState, StampPlan};
@@ -146,6 +147,8 @@ pub(crate) struct Workspace {
     pub(super) csr_values: Vec<f64>,
     /// Symbolic factorization, built lazily on the first sparse solve.
     pub(super) symbolic: SymbolicLu,
+    /// One operating point per MOSFET, re-evaluated every assembly.
+    pub(super) mos_ops: Vec<MosfetOperatingPoint>,
     pub(super) z: Vec<f64>,
     pub(super) x: Vec<f64>,
     pub(super) x_new: Vec<f64>,
@@ -173,19 +176,25 @@ pub(super) struct TransientScratch<'w> {
 
 impl Workspace {
     /// Allocates buffers sized for `plan`'s system, solving with the
-    /// given engine.
-    pub(crate) fn for_plan(plan: &StampPlan, solver: SolverKind) -> Self {
+    /// engine its slots address.
+    pub(crate) fn for_plan(plan: &StampPlan) -> Self {
         let n = plan.n_unknowns;
+        let solver = plan.solver;
+        let (dense_n, csr_nnz) = match solver {
+            SolverKind::Dense => (n, 0),
+            SolverKind::Sparse => (0, plan.sparse.nnz()),
+        };
         Self {
             solver,
-            a: DenseMatrix::zeros(n),
-            csr_values: vec![0.0; plan.sparse.nnz()],
+            a: DenseMatrix::zeros(dense_n),
+            csr_values: vec![0.0; csr_nnz],
             symbolic: SymbolicLu::new(),
+            mos_ops: vec![MosfetOperatingPoint::default(); plan.mosfets],
             z: vec![0.0; n],
             x: vec![0.0; n],
             x_new: Vec::with_capacity(n),
             x_save: Vec::with_capacity(n),
-            lu: LuScratch::for_dim(n),
+            lu: LuScratch::for_dim(dense_n),
             cap_states: vec![CapState::default(); plan.caps.len()],
             x_prev: Vec::with_capacity(n),
             x_prev2: Vec::with_capacity(n),
@@ -214,6 +223,7 @@ impl Workspace {
             a,
             csr_values,
             symbolic,
+            mos_ops,
             z,
             x,
             x_new,
@@ -235,6 +245,7 @@ impl Workspace {
         (
             SolverBufs {
                 engine,
+                mos_ops,
                 z,
                 x,
                 x_new,
@@ -264,7 +275,8 @@ impl Workspace {
 /// preconditioning MTJ states, or restoring a
 /// [`CircuitSnapshot`](crate::circuit::CircuitSnapshot). Parameter
 /// changes like these reuse the existing plan; structural changes
-/// (adding devices or nodes) are detected and trigger a transparent
+/// (adding devices or nodes, rewiring a terminal, swapping a device's
+/// kind, changing a capacitance) are detected and trigger a transparent
 /// rebuild on the next analysis.
 ///
 /// # Examples
@@ -316,8 +328,8 @@ impl SimulationSession {
     /// path evolves.
     #[must_use]
     pub fn with_solver(ckt: Circuit, solver: SolverKind) -> Self {
-        let plan = StampPlan::build(&ckt);
-        let ws = Workspace::for_plan(&plan, solver);
+        let plan = StampPlan::build(&ckt, solver);
+        let ws = Workspace::for_plan(&plan);
         Self {
             ckt,
             plan,
@@ -358,8 +370,9 @@ impl SimulationSession {
     }
 
     /// Mutable access to the circuit, for retuning waveforms or device
-    /// state between runs. Structural edits (new devices or nodes) cause
-    /// a plan rebuild on the next analysis.
+    /// state between runs. Structural edits (new devices or nodes, or a
+    /// device's kind, terminals or capacitance changed through
+    /// `devices_mut`) cause a plan rebuild on the next analysis.
     pub fn circuit_mut(&mut self) -> &mut Circuit {
         &mut self.ckt
     }
@@ -386,9 +399,8 @@ impl SimulationSession {
     fn refresh(&mut self) {
         if self.plan.is_stale(&self.ckt) {
             let stats = self.ws.stats;
-            let solver = self.ws.solver;
-            self.plan = StampPlan::build(&self.ckt);
-            self.ws = Workspace::for_plan(&self.plan, solver);
+            self.plan = StampPlan::build(&self.ckt, self.ws.solver);
+            self.ws = Workspace::for_plan(&self.plan);
             self.ws.stats = stats;
         }
     }

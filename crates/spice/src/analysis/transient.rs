@@ -403,9 +403,9 @@ pub(super) fn run(
 
         // Advance MTJ magnetisation from the solved branch currents; the
         // terminal indices were resolved once at plan build.
-        for slot in &plan.mtjs {
-            let bias = vof(bufs.x, slot.ia) - vof(bufs.x, slot.ib);
-            if let Device::Mtj { name, device, .. } = &mut ckt.devices_mut()[slot.dev] {
+        for mtj in &plan.mtjs {
+            let bias = vof(bufs.x, mtj.ia) - vof(bufs.x, mtj.ib);
+            if let Device::Mtj { name, device, .. } = &mut ckt.devices_mut()[mtj.dev] {
                 let r = device.resistance(units::Voltage::from_volts(bias));
                 let i = Current::from_amps(bias / r.ohms());
                 if device.advance(i, Time::from_seconds(dt_used)) {

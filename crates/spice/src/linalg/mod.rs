@@ -126,6 +126,12 @@ impl DenseMatrix {
         &self.data
     }
 
+    /// Mutably borrows the raw row-major entries: the storage the dense
+    /// engine's stamp slots (`row·n + col`) index.
+    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Solves `A·x = b` via LU with partial pivoting without destroying
     /// `self`.
     ///
@@ -293,23 +299,38 @@ const PIVOT_EPS: f64 = 1e-30;
 /// is redone from scratch with a fresh pivot search.
 const PIVOT_DECAY: f64 = 1e-6;
 
+/// Stable counting sort of `items` by `key`, whose values lie in `0..n`.
+fn counting_sort(n: usize, items: &[u32], key: impl Fn(u32) -> u32) -> Vec<u32> {
+    let mut start = vec![0u32; n + 1];
+    for &k in items {
+        start[key(k) as usize + 1] += 1;
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut sorted = vec![0u32; items.len()];
+    for &k in items {
+        let at = &mut start[key(k) as usize];
+        sorted[*at as usize] = k;
+        *at += 1;
+    }
+    sorted
+}
+
 /// Frozen structural nonzero pattern of an assembled MNA matrix, in CSR
-/// form, with a dense `(row, col) → slot` map for O(1) stamping.
+/// form.
 ///
-/// Built once per stamp plan from a structure-probing assembly pass; the
-/// value array it indexes lives in the solver workspace and is re-filled
-/// every Newton iteration. The pattern also carries its minimum-degree
-/// column order, computed on first use by a factorization and cached
-/// for every later one.
+/// Built once per stamp plan from the plan's static enumeration of every
+/// matrix add, which also resolves each add to its CSR slot once; the
+/// value array those slots index lives in the solver workspace and is
+/// re-filled every Newton iteration. The pattern also carries its
+/// minimum-degree column order, computed on first use by a
+/// factorization and cached for every later one.
 #[derive(Debug, Clone, Default)]
 pub struct SparsePattern {
     n: usize,
     row_ptr: Vec<u32>,
     col_idx: Vec<u32>,
-    /// Dense `n × n` map from `(row, col)` to the CSR slot index, with
-    /// `u32::MAX` marking structural zeros. ~4n² bytes — trivial at MNA
-    /// scale and the reason a stamp costs one load and one add.
-    slot_of: Vec<u32>,
     /// Lazily computed [`SparsePattern::column_order`].
     order: OnceLock<Vec<u32>>,
 }
@@ -325,38 +346,59 @@ impl PartialEq for SparsePattern {
 impl Eq for SparsePattern {}
 
 impl SparsePattern {
-    const NO_SLOT: u32 = u32::MAX;
-
-    /// Builds the pattern from the structural entries captured by a
-    /// probe assembly pass. Duplicates are allowed and merged.
+    /// Builds the pattern from structural `(row, col)` entries.
+    /// Duplicates are allowed and merged.
     ///
     /// # Panics
     ///
     /// Panics if an entry is out of bounds for an `n × n` system.
     #[must_use]
-    pub fn from_entries(n: usize, mut entries: Vec<(u32, u32)>) -> Self {
-        entries.sort_unstable();
-        entries.dedup();
+    pub fn from_entries(n: usize, entries: Vec<(u32, u32)>) -> Self {
+        Self::with_slots(n, &entries).0
+    }
+
+    /// [`SparsePattern::from_entries`], also returning the CSR slot that
+    /// backs each entry, in input order: how the stamp plan resolves
+    /// every matrix add in one pass. The entries are put in `(row, col)`
+    /// order by two stable counting sorts (by column, then by row), so
+    /// the cost is linear in the entries plus `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an entry is out of bounds for an `n × n` system.
+    pub(crate) fn with_slots(n: usize, entries: &[(u32, u32)]) -> (Self, Vec<u32>) {
+        for &(r, c) in entries {
+            assert!(
+                (r as usize) < n && (c as usize) < n,
+                "pattern entry out of bounds"
+            );
+        }
+        let all: Vec<u32> = (0..entries.len() as u32).collect();
+        let by_col = counting_sort(n, &all, |k| entries[k as usize].1);
+        let by_row_col = counting_sort(n, &by_col, |k| entries[k as usize].0);
         let mut row_ptr = vec![0u32; n + 1];
-        let mut col_idx = Vec::with_capacity(entries.len());
-        let mut slot_of = vec![Self::NO_SLOT; n * n];
-        for &(r, c) in &entries {
-            let (r, c) = (r as usize, c as usize);
-            assert!(r < n && c < n, "pattern entry out of bounds");
-            slot_of[r * n + c] = col_idx.len() as u32;
-            col_idx.push(c as u32);
-            row_ptr[r + 1] += 1;
+        let mut col_idx: Vec<u32> = Vec::with_capacity(entries.len());
+        let mut slots = vec![0u32; entries.len()];
+        let mut last = None;
+        for k in by_row_col {
+            let (r, c) = entries[k as usize];
+            if last != Some((r, c)) {
+                last = Some((r, c));
+                col_idx.push(c);
+                row_ptr[r as usize + 1] += 1;
+            }
+            slots[k as usize] = (col_idx.len() - 1) as u32;
         }
         for r in 0..n {
             row_ptr[r + 1] += row_ptr[r];
         }
-        Self {
+        let pattern = Self {
             n,
             row_ptr,
             col_idx,
-            slot_of,
             order: OnceLock::new(),
-        }
+        };
+        (pattern, slots)
     }
 
     /// Matrix dimension.
@@ -371,21 +413,18 @@ impl SparsePattern {
         self.col_idx.len()
     }
 
-    /// Adds `value` to the CSR slot backing `(row, col)` — the sparse
-    /// counterpart of [`DenseMatrix::add`].
+    /// The CSR slot backing `(row, col)`, or `None` for a structural
+    /// zero: a binary search over the row. Test-only: the stamp plan
+    /// gets its slots from [`SparsePattern::with_slots`].
     ///
     /// # Panics
     ///
-    /// Panics if `(row, col)` is a structural zero of the pattern, which
-    /// means the values were assembled against a stale pattern.
-    #[inline]
-    pub fn add_into(&self, values: &mut [f64], row: usize, col: usize, value: f64) {
-        let slot = self.slot_of[row * self.n + col];
-        assert!(
-            slot != Self::NO_SLOT,
-            "stamp at ({row}, {col}) outside the frozen pattern"
-        );
-        values[slot as usize] += value;
+    /// Panics if `row` is out of bounds.
+    #[cfg(test)]
+    pub(crate) fn slot(&self, row: usize, col: usize) -> Option<usize> {
+        let (cols, lo) = self.row(row);
+        let col = u32::try_from(col).ok()?;
+        cols.binary_search(&col).ok().map(|k| lo + k)
     }
 
     /// The column indices of `row`, ascending, and the CSR slot of the
@@ -411,8 +450,8 @@ impl SparsePattern {
     /// Exact minimum degree on the explicit elimination graph: repeatedly
     /// eliminate the remaining vertex of fewest remaining neighbours and
     /// join those neighbours into a clique (the fill the elimination
-    /// creates). A dense adjacency matrix keeps this simple; like
-    /// `slot_of` it is n² at MNA scale, and it runs once per pattern.
+    /// creates). A dense adjacency matrix keeps this simple: n² bytes,
+    /// held only while the order is computed, once per pattern.
     fn minimum_degree_order(&self) -> Vec<u32> {
         let n = self.n;
         let mut adj = vec![false; n * n];
@@ -963,7 +1002,7 @@ mod tests {
         for (r, row) in rows.iter().enumerate() {
             for (c, &v) in row.iter().enumerate() {
                 if v != 0.0 {
-                    pattern.add_into(&mut values, r, c, v);
+                    values[pattern.slot(r, c).expect("entry in pattern")] += v;
                 }
             }
         }
@@ -975,19 +1014,26 @@ mod tests {
         let pattern = SparsePattern::from_entries(3, vec![(2, 0), (0, 0), (0, 2), (1, 1), (0, 0)]);
         assert_eq!(pattern.dim(), 3);
         assert_eq!(pattern.nnz(), 4, "duplicates merge");
-        let mut values = vec![0.0; pattern.nnz()];
-        pattern.add_into(&mut values, 0, 0, 1.5);
-        pattern.add_into(&mut values, 0, 0, 0.5);
-        pattern.add_into(&mut values, 2, 0, -1.0);
-        assert_eq!(values, vec![2.0, 0.0, 0.0, -1.0]);
+        // CSR order: (0,0), (0,2), (1,1), (2,0).
+        assert_eq!(pattern.slot(0, 0), Some(0));
+        assert_eq!(pattern.slot(0, 2), Some(1));
+        assert_eq!(pattern.slot(1, 1), Some(2));
+        assert_eq!(pattern.slot(2, 0), Some(3));
+        let (same, slots) = SparsePattern::with_slots(3, &[(2, 0), (0, 0), (0, 2), (1, 1), (0, 0)]);
+        assert_eq!(same, pattern);
+        assert_eq!(
+            slots,
+            vec![3, 0, 1, 2, 0],
+            "one slot per entry, in input order"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "outside the frozen pattern")]
-    fn sparse_stamp_outside_pattern_panics() {
+    fn sparse_slot_is_none_outside_the_pattern() {
         let pattern = SparsePattern::from_entries(2, vec![(0, 0), (1, 1)]);
-        let mut values = vec![0.0; 2];
-        pattern.add_into(&mut values, 0, 1, 1.0);
+        assert_eq!(pattern.slot(0, 1), None);
+        assert_eq!(pattern.slot(1, 0), None);
+        assert_eq!(pattern.slot(1, usize::MAX), None);
     }
 
     /// The relative bound `sparse_equivalence` holds the sparse engine
@@ -1161,7 +1207,7 @@ mod tests {
             sym.factor_and_solve(&pattern, &values, &b, &mut x),
             Some(SparseSolveOutcome::Built)
         );
-        pattern.add_into(&mut values, 0, 0, 1e-12 - 1.0);
+        values[pattern.slot(0, 0).expect("in pattern")] += 1e-12 - 1.0;
         let outcome = sym
             .factor_and_solve(&pattern, &values, &b, &mut x)
             .expect("still nonsingular");
@@ -1192,7 +1238,7 @@ mod tests {
         assert!(sym
             .factor_and_solve(&p2, &v2, &[1.0, 2.0], &mut x)
             .is_some());
-        p2.add_into(&mut v2, 1, 1, 3.0); // rows become [1,2],[2,4]
+        v2[p2.slot(1, 1).expect("in pattern")] += 3.0; // rows become [1,2],[2,4]
         assert!(sym
             .factor_and_solve(&p2, &v2, &[1.0, 2.0], &mut x)
             .is_none());

@@ -74,7 +74,7 @@ pub struct MosfetModel {
 /// Evaluated large-signal operating point of a device: the channel
 /// current and its derivatives w.r.t. the three terminal voltages,
 /// exactly what the Newton stamp needs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MosfetOperatingPoint {
     /// Channel current flowing drain → source, amperes.
     pub id: f64,

@@ -69,8 +69,9 @@ mod span;
 pub use hist::Histogram;
 pub use json::{JsonError, JsonValue};
 pub use registry::{
-    counter, enabled, ensure_collecting, finish, histogram, init, init_from_env, render_summary,
-    reset_for_tests, set_thread_label, snapshot, worker_label, Snapshot, SpanStat, TraceMode,
+    counter, enabled, ensure_collecting, finish, histogram, histograms, init, init_from_env,
+    render_summary, reset_for_tests, set_thread_label, snapshot, worker_label, Snapshot, SpanStat,
+    TraceMode,
 };
 pub use report::{Metric, RunReport, Section};
 pub use span::{current_path, span, stopwatch, Span, Stopwatch};

@@ -166,6 +166,20 @@ echo "==> engine agreement: n = 8 NV word, sparse vs dense (release)"
 # there because the dense engine is slow in a debug build.
 cargo test --offline -q --release --test engine_agreement -- --include-ignored
 
+echo "==> benchmark reference check: one perfbench paper_regen pass (release)"
+# A paper_regen pass checks its outputs against perfbench/reference.json
+# and exits 1 on any deviation: the exact SolverStats counts, the MNA
+# unknowns and nonzeros of every NV-word width, and Table III. A solver
+# change that claims to be bit-identical must pass it unchanged. The
+# timings the pass prints are not checked here.
+perfbench_out="target/ci_perfbench_paper_regen.txt"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload paper_regen --seed 1 --seconds 1 --trace 0 > "$perfbench_out" 2>&1 || {
+    echo "perfbench paper_regen deviates from perfbench/reference.json:" >&2
+    cat "$perfbench_out" >&2
+    exit 1
+}
+
 echo "==> service smoke: nvff-serve, cached characterization round trip"
 # The characterization service end to end over a real socket: boot
 # nvff-serve on an OS-assigned port, post the same request twice, and

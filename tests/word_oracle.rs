@@ -67,3 +67,23 @@ fn nv_word_store_matches_the_dense_oracle() {
         }
     }
 }
+
+/// The stamp plan derives the sparse pattern from a static enumeration
+/// of every device's matrix adds. On the generator's idle words it must
+/// give the structural nonzero counts `perfbench/reference.json` records
+/// (`n{1,2,4,8}.csr_nnz`).
+#[test]
+fn nv_word_patterns_keep_their_nonzero_counts() {
+    let config = LatchConfig::default();
+    for (bits, nnz) in [(1, 121), (2, 220), (4, 376), (8, 716)] {
+        let params = WordParams::new(bits);
+        let stim = WordStimulus::idle(&params, config.vdd());
+        let ckt = generator::word_circuit(&params, &config, &stim, &vec![false; bits])
+            .expect("word circuit");
+        assert_eq!(
+            spice::analysis::matrix_pattern(&ckt).nnz(),
+            nnz,
+            "n = {bits} word"
+        );
+    }
+}
